@@ -14,31 +14,29 @@ from .errors import (ConfigError, DegenerateSourceError, IngestError,
                      NoSinglePhotonYieldError, ParameterError, TruncationError)
 from .optimize import (AxisSpec, OptimizationResult, ScanRow, SearchSpace,
                        optimize, scan_rate_vs_distance)
-from .records import (ClickRecord, IngestedStatistics, RecordBatch, TallyCounts,
+from .records import (IngestedStatistics, RecordBatch, TallyCounts,
                       ingest_records, write_records_csv)
 from .simulate import (ChannelModel, GroundTruth, HomScan, MonteCarloResult,
                        PredictedStatistics, fit_channel_to_observed,
                        hom_coincidence_scan, monte_carlo_run,
                        predicted_statistics)
-from .statistics import (BranchDistributions, InterferenceKernel,
-                         PulsePairParams, ThresholdDetector, branch_distributions,
-                         branch_mean, g2, joint_probability,
-                         joint_probability_matrix)
+from .statistics import (BranchDistributions, PulsePairParams,
+                         ThresholdDetector, branch_distributions, branch_mean,
+                         g2, joint_probability_matrix)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AxisSpec", "BranchDistributions", "ChannelModel", "ClickRecord",
-    "ConfigError", "DegenerateSourceError", "E1Upper", "GroundTruth",
-    "HomScan", "IngestError", "IngestedStatistics", "InterferenceKernel",
-    "KeyRateParams", "KeyRateReport", "MonteCarloResult",
-    "NoSinglePhotonYieldError", "Numerics", "ObservedStatistics",
-    "OptimizationResult", "ParameterError", "PredictedStatistics",
-    "PulsePairParams", "RecordBatch", "RunConfig", "ScanRow", "SearchSpace",
-    "TallyCounts", "ThresholdDetector", "TruncationError", "Y0Bounds",
-    "binary_entropy", "branch_distributions", "branch_mean", "e1_upper",
-    "fit_channel_to_observed", "g2", "hom_coincidence_scan",
-    "ingest_records", "joint_probability", "joint_probability_matrix",
+    "AxisSpec", "BranchDistributions", "ChannelModel", "ConfigError",
+    "DegenerateSourceError", "E1Upper", "GroundTruth", "HomScan",
+    "IngestError", "IngestedStatistics", "KeyRateParams", "KeyRateReport",
+    "MonteCarloResult", "NoSinglePhotonYieldError", "Numerics",
+    "ObservedStatistics", "OptimizationResult", "ParameterError",
+    "PredictedStatistics", "PulsePairParams", "RecordBatch", "RunConfig",
+    "ScanRow", "SearchSpace", "TallyCounts", "ThresholdDetector",
+    "TruncationError", "Y0Bounds", "binary_entropy", "branch_distributions",
+    "branch_mean", "e1_upper", "fit_channel_to_observed", "g2",
+    "hom_coincidence_scan", "ingest_records", "joint_probability_matrix",
     "key_rate", "load_run_config", "monte_carlo_run", "optimize",
     "predicted_statistics", "run_config_from_dict", "scan_rate_vs_distance",
     "single_photon_bound", "write_records_csv", "y0_bounds", "y1_lower",

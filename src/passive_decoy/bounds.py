@@ -118,15 +118,15 @@ def _guard_denominator(value: float, what: str) -> float:
     return value
 
 
-def y0_bounds(dists: BranchDistributions, obs: ObservedStatistics,
-              params: KeyRateParams) -> Y0Bounds:
-    """Two-sided bound on the background yield of the receiver.
+def _background_denominator(dists: BranchDistributions) -> float:
+    pnc, pt = dists.p_noclick, dists.p_total
+    return _guard_denominator(float(pt[1] * pnc[0] - pnc[1] * pt[0]),
+                              "background-yield")
 
-    The upper bound assumes every observed error in a vacuum-heavy branch
-    could be background; the lower bound eliminates the single-photon
-    contribution between the two branches.  The lower bound is clamped into
-    [0, upper] so the pair is always consistent.
-    """
+
+def _y0_bounds(dists: BranchDistributions, obs: ObservedStatistics,
+               params: KeyRateParams) -> tuple[Y0Bounds, float]:
+    """``y0_bounds`` plus the guarded background denominator it used."""
     pc, pnc, pt = dists.p_click, dists.p_noclick, dists.p_total
     if pc[0] <= 0.0 or pnc[0] <= 0.0:
         raise ParameterError("vacuum probability of each branch must be positive")
@@ -136,46 +136,50 @@ def y0_bounds(dists: BranchDistributions, obs: ObservedStatistics,
         upper, upper_branch = cand_c, "c"
     else:
         upper, upper_branch = cand_nc, "nc"
-    den = _guard_denominator(pt[1] * pnc[0] - pnc[1] * pt[0], "background-yield")
+    den = _background_denominator(dists)
     lower_raw = float((pt[1] * obs.q_nc - pnc[1] * obs.q_t) / den)
     lower = min(max(lower_raw, 0.0), upper)
     return Y0Bounds(lower=lower, upper=upper, upper_branch=upper_branch,
-                    lower_raw=lower_raw)
+                    lower_raw=lower_raw), den
+
+
+def y0_bounds(dists: BranchDistributions, obs: ObservedStatistics,
+              params: KeyRateParams) -> Y0Bounds:
+    """Two-sided bound on the background yield of the receiver.
+
+    The upper bound assumes every observed error in a vacuum-heavy branch
+    could be background; the lower bound eliminates the single-photon
+    contribution between the two branches.  The lower bound is clamped into
+    [0, upper] so the pair is always consistent.
+    """
+    return _y0_bounds(dists, obs, params)[0]
 
 
 def _elimination_coefficients(dists: BranchDistributions,
-                              obs: ObservedStatistics) -> tuple[float, float]:
+                              obs: ObservedStatistics) -> tuple[float, float, float]:
     """Branch-independent pieces of the single-photon lower bound.
 
     Eliminating the two-photon term between the branches expresses the
     single-photon yield bound as ``slope - vacuum_coeff * Y0_upper``; both
-    pieces share the same guarded denominator.
+    pieces share the same guarded denominator, returned third.
     """
     pnc, pt = dists.p_noclick, dists.p_total
-    den = _guard_denominator(pt[2] * pnc[1] - pnc[2] * pt[1], "single-photon-yield")
+    den = _guard_denominator(float(pt[2] * pnc[1] - pnc[2] * pt[1]),
+                             "single-photon-yield")
     slope = float((pt[2] * obs.q_nc - pnc[2] * obs.q_t) / den)
     vacuum_coeff = float((pt[2] * pnc[0] - pnc[2] * pt[0]) / den)
-    return slope, vacuum_coeff
-
-
-def _y1_lower_raw(dists: BranchDistributions, obs: ObservedStatistics,
-                  y0_upper: float) -> float:
-    slope, vacuum_coeff = _elimination_coefficients(dists, obs)
-    return slope - vacuum_coeff * y0_upper
+    return slope, vacuum_coeff, den
 
 
 def y1_lower(dists: BranchDistributions, obs: ObservedStatistics,
              y0_upper: float) -> float:
     """Lower bound on the single-photon yield, clamped at zero."""
-    return max(_y1_lower_raw(dists, obs, y0_upper), 0.0)
+    slope, vacuum_coeff, _ = _elimination_coefficients(dists, obs)
+    return max(slope - vacuum_coeff * y0_upper, 0.0)
 
 
-def _single_photon_raw(dists: BranchDistributions, obs: ObservedStatistics,
-                       y0_upper: float, branch: str) -> float:
-    if branch not in ("c", "nc"):
-        raise ParameterError(f"branch must be 'c' or 'nc' (got {branch!r})")
-    p = dists.branch(branch)
-    slope, vacuum_coeff = _elimination_coefficients(dists, obs)
+def _single_photon_raw(p, slope: float, vacuum_coeff: float,
+                       y0_upper: float) -> float:
     return float(p[1] * slope + (p[0] - p[1] * vacuum_coeff) * y0_upper)
 
 
@@ -187,7 +191,30 @@ def single_photon_bound(dists: BranchDistributions, obs: ObservedStatistics,
     its unclamped form by the branch single-photon probability recovers
     ``y1_lower``.
     """
-    return max(_single_photon_raw(dists, obs, y0_upper, branch), 0.0)
+    if branch not in ("c", "nc"):
+        raise ParameterError(f"branch must be 'c' or 'nc' (got {branch!r})")
+    slope, vacuum_coeff, _ = _elimination_coefficients(dists, obs)
+    return max(_single_photon_raw(dists.branch(branch), slope, vacuum_coeff,
+                                  y0_upper), 0.0)
+
+
+def _e1_upper(dists: BranchDistributions, obs: ObservedStatistics,
+              y0_lower: float, y1_lower_value: float, params: KeyRateParams,
+              background_den: float) -> E1Upper:
+    """``e1_upper`` for a positive ``y1_lower_value`` and a guarded
+    background denominator."""
+    pc, pnc, pt = dists.p_click, dists.p_noclick, dists.p_total
+    clauses = (
+        float((obs.e_c * obs.q_c - pc[0] * y0_lower * params.e0)
+              / (pc[1] * y1_lower_value)),
+        float((obs.e_nc * obs.q_nc - pnc[0] * y0_lower * params.e0)
+              / (pnc[1] * y1_lower_value)),
+        float((pnc[0] * obs.e_t * obs.q_t - pt[0] * obs.e_nc * obs.q_nc)
+              / (background_den * y1_lower_value)),
+    )
+    best = min(range(3), key=lambda i: clauses[i])
+    return E1Upper(value=max(clauses[best], 0.0), clause=best + 1,
+                   raw_clauses=tuple(clauses))
 
 
 def e1_upper(dists: BranchDistributions, obs: ObservedStatistics,
@@ -205,19 +232,8 @@ def e1_upper(dists: BranchDistributions, obs: ObservedStatistics,
     if y1_lower_value <= 0.0:
         raise NoSinglePhotonYieldError(
             "no single-photon yield established; the key rate is zero")
-    pc, pnc, pt = dists.p_click, dists.p_noclick, dists.p_total
-    den0 = _guard_denominator(pt[1] * pnc[0] - pnc[1] * pt[0], "background-yield")
-    clauses = (
-        float((obs.e_c * obs.q_c - pc[0] * y0_lower * params.e0)
-              / (pc[1] * y1_lower_value)),
-        float((obs.e_nc * obs.q_nc - pnc[0] * y0_lower * params.e0)
-              / (pnc[1] * y1_lower_value)),
-        float((pnc[0] * obs.e_t * obs.q_t - pt[0] * obs.e_nc * obs.q_nc)
-              / (den0 * y1_lower_value)),
-    )
-    best = min(range(3), key=lambda i: clauses[i])
-    return E1Upper(value=max(clauses[best], 0.0), clause=best + 1,
-                   raw_clauses=tuple(clauses))
+    return _e1_upper(dists, obs, y0_lower, y1_lower_value, params,
+                     _background_denominator(dists))
 
 
 @dataclass(frozen=True)
@@ -239,20 +255,6 @@ class KeyRateReport:
     r_total: float
     diagnostics: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "y0_lower": self.y0_lower,
-            "y0_upper": self.y0_upper,
-            "y1_lower": self.y1_lower,
-            "e1_upper": self.e1_upper,
-            "combined_lower_c": self.combined_lower_c,
-            "combined_lower_nc": self.combined_lower_nc,
-            "r_c": self.r_c,
-            "r_nc": self.r_nc,
-            "r_total": self.r_total,
-            "diagnostics": dict(self.diagnostics),
-        }
-
 
 def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
              params: KeyRateParams = KeyRateParams()) -> KeyRateReport:
@@ -265,29 +267,27 @@ def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
     privacy-amplification factor is clamped to zero and flagged rather than
     extrapolated.
     """
-    y0 = y0_bounds(dists, obs, params)
-    y1_raw = _y1_lower_raw(dists, obs, y0.upper)
+    y0, background_den = _y0_bounds(dists, obs, params)
+    slope, vacuum_coeff, single_photon_den = _elimination_coefficients(dists, obs)
+    y1_raw = slope - vacuum_coeff * y0.upper
     y1l = max(y1_raw, 0.0)
-    comb_raw = {b: _single_photon_raw(dists, obs, y0.upper, b) for b in ("c", "nc")}
+    comb_raw = {b: _single_photon_raw(dists.branch(b), slope, vacuum_coeff, y0.upper)
+                for b in ("c", "nc")}
     comb = {b: max(v, 0.0) for b, v in comb_raw.items()}
 
     entropy_clamped = False
-    no_yield = False
-    e1_value: float | None
-    raw_clauses: tuple | None
-    active_clause: int | None
-    try:
-        e1 = e1_upper(dists, obs, y0.lower, y1l, params)
+    no_yield = y1l <= 0.0
+    e1_value: float | None = None
+    raw_clauses: tuple | None = None
+    active_clause: int | None = None
+    privacy_factor = 0.0
+    if not no_yield:
+        e1 = _e1_upper(dists, obs, y0.lower, y1l, params, background_den)
         e1_value, active_clause, raw_clauses = e1.value, e1.clause, e1.raw_clauses
         if e1.value >= 0.5:
             entropy_clamped = True
-            privacy_factor = 0.0
         else:
             privacy_factor = 1.0 - binary_entropy(e1.value)
-    except NoSinglePhotonYieldError:
-        no_yield = True
-        e1_value, active_clause, raw_clauses = None, None, None
-        privacy_factor = 0.0
 
     rates = {}
     for branch, gain, err in (("c", obs.q_c, obs.e_c), ("nc", obs.q_nc, obs.e_nc)):
@@ -295,7 +295,6 @@ def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
                               + comb[branch] * privacy_factor)
     r_total = max(rates["c"], 0.0) + max(rates["nc"], 0.0)
 
-    pt, pnc = dists.p_total, dists.p_noclick
     diagnostics = {
         "q": params.q,
         "f": params.f,
@@ -309,8 +308,8 @@ def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
         "combined_raw_c": comb_raw["c"],
         "combined_raw_nc": comb_raw["nc"],
         "denominators": {
-            "background": float(pt[1] * pnc[0] - pnc[1] * pt[0]),
-            "single_photon": float(pt[2] * pnc[1] - pnc[2] * pt[1]),
+            "background": background_den,
+            "single_photon": single_photon_den,
         },
         "e1_active_clause": active_clause,
         "e1_raw_clauses": list(raw_clauses) if raw_clauses is not None else None,

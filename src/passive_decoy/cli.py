@@ -4,8 +4,6 @@ Subcommands: distribution, keyrate, simulate, ingest, optimize, scan.
 
 Exit codes: 0 success (for ``keyrate``: a positive rate), 2 validation
 failure, 3 parse failure, 4 no key (rate is zero), 1 unexpected error.
-Outputs are identical regardless of the PASSIVE_DECOY_THREADS environment
-variable, which is reserved for internal worker counts.
 """
 
 from __future__ import annotations
@@ -97,18 +95,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                              config.channel, args.pulses, seed,
                              record_sink=batches.append)
     write_records_csv(args.out, batches)
-    provenance = {
-        "source_path": args.out,
-        "records": result.tallies.pulses,
-        "sifted": result.tallies.sifted,
-        "sifted_clicks": result.tallies.sifted_clicks,
-        "detections_click": result.tallies.det_click,
-        "detections_noclick": result.tallies.det_noclick,
-        "errors_click": result.tallies.err_click,
-        "errors_noclick": result.tallies.err_noclick,
-        "seed": seed,
-        "pulses": result.n_pulses,
-    }
+    provenance = {**result.tallies.provenance(args.out),
+                  "seed": seed, "pulses": result.n_pulses}
     _write_text(dump_json(stats_payload(result.stats, provenance)),
                 args.stats_out)
     return EXIT_OK
@@ -119,7 +107,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         ingested = ingest_records(args.records)
     except OSError as exc:
         raise IngestError(f"cannot read records file: {exc}") from None
-    payload = stats_payload(ingested.stats, ingested.provenance())
+    payload = stats_payload(ingested.stats,
+                            ingested.tallies.provenance(ingested.source_path))
     _write_text(dump_json(payload), args.out)
     return EXIT_OK
 

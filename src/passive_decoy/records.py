@@ -12,7 +12,6 @@ same counting and division code, making round trips bit-identical.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -26,29 +25,6 @@ CSV_COLUMNS = ("pulse_index", "alice_click", "alice_basis", "alice_bit",
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 _PARSE_BATCH = 262144
-
-
-@dataclass(frozen=True, slots=True)
-class ClickRecord:
-    """Sifting bookkeeping for one emitted pulse."""
-
-    pulse_index: int
-    alice_click: bool
-    alice_basis: int
-    alice_bit: int
-    bob_basis: int
-    detected: bool
-    bob_bit: int | None
-
-    def __post_init__(self) -> None:
-        if self.alice_basis not in (0, 1) or self.bob_basis not in (0, 1):
-            raise IngestError("bases must be 0 or 1")
-        if self.alice_bit not in (0, 1):
-            raise IngestError("alice_bit must be 0 or 1")
-        if (self.bob_bit is not None) != self.detected:
-            raise IngestError("bob_bit must be present exactly when detected")
-        if self.bob_bit is not None and self.bob_bit not in (0, 1):
-            raise IngestError("bob_bit must be 0 or 1 when present")
 
 
 @dataclass(frozen=True)
@@ -68,18 +44,6 @@ class RecordBatch:
 
     def __len__(self) -> int:
         return self.pulse_index.size
-
-    def iter_records(self) -> Iterator[ClickRecord]:
-        for i in range(len(self)):
-            det = bool(self.detected[i])
-            yield ClickRecord(
-                pulse_index=int(self.pulse_index[i]),
-                alice_click=bool(self.alice_click[i]),
-                alice_basis=int(self.alice_basis[i]),
-                alice_bit=int(self.alice_bit[i]),
-                bob_basis=int(self.bob_basis[i]),
-                detected=det,
-                bob_bit=int(self.bob_bit[i]) if det else None)
 
 
 @dataclass
@@ -121,6 +85,19 @@ class TallyCounts:
             err_click=int(np.count_nonzero(sift & click & err)),
             err_noclick=int(np.count_nonzero(sift & ~click & err)))
 
+    def provenance(self, source_path: str) -> dict:
+        """The counts behind a statistics payload, keyed as in its schema."""
+        return {
+            "source_path": source_path,
+            "records": self.pulses,
+            "sifted": self.sifted,
+            "sifted_clicks": self.sifted_clicks,
+            "detections_click": self.det_click,
+            "detections_noclick": self.det_noclick,
+            "errors_click": self.err_click,
+            "errors_noclick": self.err_noclick,
+        }
+
     def to_observed(self) -> ObservedStatistics:
         if self.sifted <= 0:
             raise IngestError("no sifted pulses; cannot form statistics")
@@ -138,19 +115,6 @@ class IngestedStatistics:
     stats: ObservedStatistics
     source_path: str
     tallies: TallyCounts
-
-    def provenance(self) -> dict:
-        t = self.tallies
-        return {
-            "source_path": self.source_path,
-            "records": t.pulses,
-            "sifted": t.sifted,
-            "sifted_clicks": t.sifted_clicks,
-            "detections_click": t.det_click,
-            "detections_noclick": t.det_noclick,
-            "errors_click": t.err_click,
-            "errors_noclick": t.err_noclick,
-        }
 
 
 def format_batch_csv(batch: RecordBatch) -> str:
@@ -258,18 +222,15 @@ def iter_batches_from_csv(source) -> Iterator[RecordBatch]:
             fh.close()
 
 
-def ingest_records(path: str) -> IngestedStatistics:
-    """Aggregate a click-record CSV into observed statistics."""
+def ingest_records(source) -> IngestedStatistics:
+    """Aggregate a click-record CSV (path or text file object) into observed
+    statistics."""
     tallies = TallyCounts()
-    for batch in iter_batches_from_csv(path):
+    for batch in iter_batches_from_csv(source):
         tallies.merge(TallyCounts.from_batch(batch))
-    return IngestedStatistics(stats=tallies.to_observed(),
-                              source_path=str(path), tallies=tallies)
-
-
-def ingest_records_text(text: str, label: str = "<memory>") -> IngestedStatistics:
-    tallies = TallyCounts()
-    for batch in iter_batches_from_csv(io.StringIO(text)):
-        tallies.merge(TallyCounts.from_batch(batch))
+    if isinstance(source, (str, bytes)):
+        label = str(source)
+    else:
+        label = getattr(source, "name", "<memory>")
     return IngestedStatistics(stats=tallies.to_observed(),
                               source_path=label, tallies=tallies)

@@ -15,7 +15,6 @@ from .bounds import KeyRateParams, KeyRateReport, ObservedStatistics
 from .config import RunConfig
 from .errors import IngestError, ParameterError
 from .optimize import OptimizationResult, ScanRow
-from .simulate import HomScan
 from .statistics import BranchDistributions, branch_mean, g2
 
 SCHEMA_NAMES = ("run_config", "observed_stats", "distribution_report",
@@ -70,9 +69,10 @@ def distribution_report(config: RunConfig, dists: BranchDistributions) -> dict:
 
 def distribution_csv(dists: BranchDistributions) -> str:
     lines = ["n,p_click,p_noclick,p_total"]
-    for n in range(dists.n_max + 1):
-        lines.append(f"{n},{dists.p_click[n]!r},{dists.p_noclick[n]!r},"
-                     f"{dists.p_total[n]!r}")
+    columns = zip(dists.p_click.tolist(), dists.p_noclick.tolist(),
+                  dists.p_total.tolist())
+    for n, (click, noclick, total) in enumerate(columns):
+        lines.append(f"{n},{click!r},{noclick!r},{total!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -163,10 +163,3 @@ def scan_csv(rows: list[ScanRow]) -> str:
 def scan_payload(rows: list[ScanRow]) -> dict:
     return {"kind": "rate_scan",
             "rows": [{"length_km": r.length_km, "rate": r.rate} for r in rows]}
-
-
-def hom_csv(scan: HomScan) -> str:
-    lines = ["overlap,coincidence,visibility"]
-    for row in scan.rows:
-        lines.append(f"{row.overlap!r},{row.coincidence!r},{row.visibility!r}")
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import ObservedStatistics
 from .errors import ParameterError
@@ -143,7 +142,7 @@ def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
     # Draw order is part of the reproducibility contract; do not reorder.
     theta = rng.uniform(0.0, 2.0 * np.pi, size)
     if params.nu > 0.0:
-        gam = params.kernel().gamma_of(theta)
+        gam = params.gamma(theta)
         n_kept = rng.poisson(params.nu * gam)
         m_mon = rng.poisson(params.nu * (1.0 - gam))
     else:
@@ -228,9 +227,6 @@ class HomScan:
     rows: tuple
     visibility: float
 
-    def as_rows(self) -> list[tuple[float, float, float]]:
-        return [(r.overlap, r.coincidence, r.visibility) for r in self.rows]
-
 
 def hom_coincidence_scan(params: PulsePairParams,
                          overlaps: Sequence[float],
@@ -254,7 +250,7 @@ def hom_coincidence_scan(params: PulsePairParams,
     for s in sorted(overlaps):
         p = replace(params, overlap=float(s))
         if p.nu > 0.0:
-            gam = p.kernel().gamma_of(th)
+            gam = p.gamma(th)
             lam_a, lam_b = p.nu * gam, p.nu * (1.0 - gam)
             coinc = float(np.mean((1.0 - np.exp(-lam_a)) * (1.0 - np.exp(-lam_b))))
         else:
@@ -275,7 +271,8 @@ def fit_channel_to_observed(dists: BranchDistributions, obs: ObservedStatistics,
     """Invert the no-click branch observables into a channel model.
 
     With the per-detector dark probability pinned, the receiver efficiency is
-    root-found so the predicted no-click gain matches ``obs.q_nc`` and the
+    bisected to the last ulp so the predicted no-click gain matches
+    ``obs.q_nc`` (the gain rises monotonically with efficiency) and the
     misalignment follows in closed form from ``obs.e_nc``.  The click-branch
     observables are deliberately left out: how well they are then predicted
     measures the consistency of the whole source-plus-channel description.
@@ -297,10 +294,18 @@ def fit_channel_to_observed(dists: BranchDistributions, obs: ObservedStatistics,
         q = s_nc - (1.0 - y0) * float(np.dot(p_nc, (1.0 - eta) ** n))
         return q - obs.q_nc
 
-    if gain_mismatch(1.0) < 0.0:
+    lo, hi = 0.0, 1.0
+    f_lo, f_hi = gain_mismatch(lo), gain_mismatch(hi)
+    if f_hi < 0.0:
         raise ParameterError("observed no-click gain is unreachably large "
                              "for the given path loss")
-    eta_b = brentq(gain_mismatch, 0.0, 1.0, xtol=1e-18, rtol=8.9e-16)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = gain_mismatch(mid)
+        if f_mid < 0.0:
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    eta_b = lo if abs(f_lo) < abs(f_hi) else hi
 
     err_mass = obs.e_nc * obs.q_nc
     misalignment = ((err_mass - BACKGROUND_ERROR_RATE * y0 * s_nc)

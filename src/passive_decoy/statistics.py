@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError, TruncationError
 
@@ -33,6 +32,10 @@ PHOTON_NUMBER_CAP = 60
 DEFAULT_N_MAX = 20
 DEFAULT_THETA_NODES = 256
 DEFAULT_TAIL_TOL = 1e-12
+
+# log(n!) for every photon number up to the cap, correctly rounded.
+_LOG_FACTORIAL = np.array([math.log(math.factorial(k))
+                           for k in range(PHOTON_NUMBER_CAP + 1)])
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -85,27 +88,15 @@ class PulsePairParams:
         """Phase-averaged mean photon number of the kept output mode."""
         return self.mu1 * self.t + self.mu2 * (1.0 - self.t)
 
-    def kernel(self) -> "InterferenceKernel":
+    def gamma(self, theta):
+        """Fraction of the total intensity exiting into the kept mode.
+
+        A function of the relative phase ``theta``: 2*pi periodic, even, and
+        always within [0, 1].
+        """
         if self.nu <= 0.0:
             raise ParameterError("vacuum source has no interference kernel")
-        return InterferenceKernel(nu=self.nu, xi=self.xi, mean_a=self.mean_mode_a)
-
-
-@dataclass(frozen=True, slots=True)
-class InterferenceKernel:
-    """Phase dependence of the splitter output for one pulse pair.
-
-    ``gamma_of(theta)`` is the fraction of the total intensity exiting into
-    the kept mode at relative phase ``theta``; it is 2*pi periodic, even, and
-    always within [0, 1].
-    """
-
-    nu: float
-    xi: float
-    mean_a: float
-
-    def gamma_of(self, theta):
-        return (self.mean_a + self.xi * np.cos(theta)) / self.nu
+        return (self.mean_mode_a + self.xi * np.cos(theta)) / self.nu
 
 
 @dataclass(frozen=True, slots=True)
@@ -163,7 +154,8 @@ def _poisson_pmf_matrix(lam: np.ndarray, n_max: int) -> np.ndarray:
     """
     n = np.arange(n_max + 1)
     safe = np.where(lam > 0.0, lam, 1.0)
-    logs = n[:, None] * np.log(safe[None, :]) - lam[None, :] - gammaln(n + 1)[:, None]
+    logs = (n[:, None] * np.log(safe[None, :]) - lam[None, :]
+            - _LOG_FACTORIAL[:n_max + 1, None])
     pmf = np.exp(logs)
     zero = lam == 0.0
     if np.any(zero):
@@ -173,8 +165,7 @@ def _poisson_pmf_matrix(lam: np.ndarray, n_max: int) -> np.ndarray:
 
 
 def _mode_rates(params: PulsePairParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    kern = params.kernel()
-    gam = kern.gamma_of(theta_nodes(nodes))
+    gam = params.gamma(theta_nodes(nodes))
     return params.nu * gam, params.nu * (1.0 - gam)
 
 
@@ -188,22 +179,6 @@ def _validate_count(name: str, value: int) -> None:
             f"{name} exceeds the photon-number cap of {PHOTON_NUMBER_CAP} (got {value}); "
             "normalization guarantees do not extend past the cap"
         )
-
-
-def joint_probability(params: PulsePairParams, n: int, m: int, *,
-                      nodes: int = DEFAULT_THETA_NODES) -> float:
-    """Probability of n photons in the kept mode and m in the monitored mode.
-
-    The phase average of the product of the two conditional Poisson pmfs.
-    """
-    _validate_count("n", n)
-    _validate_count("m", m)
-    if params.nu <= 0.0:
-        return 1.0 if (n == 0 and m == 0) else 0.0
-    lam_a, lam_b = _mode_rates(params, nodes)
-    pmf_a = _poisson_pmf_matrix(lam_a, n)[n]
-    pmf_b = _poisson_pmf_matrix(lam_b, m)[m]
-    return float(np.mean(pmf_a * pmf_b))
 
 
 def joint_probability_matrix(params: PulsePairParams, n_max: int, m_max: int, *,

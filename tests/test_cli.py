@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -68,6 +71,15 @@ class TestDistributionCommand:
         lines = out.read_text().splitlines()
         assert lines[0] == "n,p_click,p_noclick,p_total"
         assert len(lines) == 22
+        report = tmp_path / "dist.json"
+        assert run_cli("distribution", "--config", config_path,
+                       "--out", str(report)) == EXIT_OK
+        payload = read_json(report)
+        for n, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert int(cells[0]) == n
+            assert [float(c) for c in cells[1:]] == [
+                payload[key][n] for key in ("p_click", "p_noclick", "p_total")]
 
 
 class TestKeyrateCommand:
@@ -240,3 +252,15 @@ class TestConfigFiles:
         cfg.write_text(json.dumps(doc))
         assert run_cli("distribution", "--config", str(cfg)) == EXIT_VALIDATION
         assert "sources" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, passive_decoy.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -1,10 +1,11 @@
+import io
+
 import numpy as np
 import pytest
 
-from passive_decoy import (ClickRecord, IngestError, ingest_records,
-                           monte_carlo_run, write_records_csv)
-from passive_decoy.records import (CSV_HEADER, RecordBatch, TallyCounts,
-                                   ingest_records_text)
+from passive_decoy import (IngestError, ingest_records, monte_carlo_run,
+                           write_records_csv)
+from passive_decoy.records import CSV_HEADER, RecordBatch, TallyCounts
 from test_simulate import make_channel
 
 
@@ -14,22 +15,6 @@ def small_run(reference_params, reference_detector):
     result = monte_carlo_run(reference_params, reference_detector, make_channel(),
                              30_000, seed=11, record_sink=batches.append)
     return result, batches
-
-
-class TestClickRecord:
-    def test_bob_bit_presence_tied_to_detection(self):
-        ClickRecord(0, True, 0, 1, 0, True, 1)
-        ClickRecord(1, False, 1, 0, 1, False, None)
-        with pytest.raises(IngestError):
-            ClickRecord(2, False, 0, 0, 0, False, 1)
-        with pytest.raises(IngestError):
-            ClickRecord(3, False, 0, 0, 0, True, None)
-
-    def test_field_domains(self):
-        with pytest.raises(IngestError):
-            ClickRecord(0, True, 2, 0, 0, False, None)
-        with pytest.raises(IngestError):
-            ClickRecord(0, True, 0, 0, 0, True, 5)
 
 
 class TestCsvRoundTrip:
@@ -60,10 +45,15 @@ class TestCsvRoundTrip:
         result, batches = small_run
         path = tmp_path / "records.csv"
         write_records_csv(str(path), batches)
-        prov = ingest_records(str(path)).provenance()
+        ingested = ingest_records(str(path))
+        prov = ingested.tallies.provenance(ingested.source_path)
         assert prov["records"] == result.n_pulses
         assert prov["sifted"] == result.tallies.sifted
         assert prov["source_path"] == str(path)
+
+
+def ingest_records_text(text):
+    return ingest_records(io.StringIO(text))
 
 
 class TestIngestValidation:
@@ -92,10 +82,14 @@ class TestIngestValidation:
         with pytest.raises(IngestError, match="alice_basis"):
             ingest_records_text(text)
 
-    def test_out_of_domain_field(self):
-        text = CSV_HEADER + "\n0,0,0,3,0,0,\n"
-        with pytest.raises(IngestError, match="alice_bit"):
-            ingest_records_text(text)
+    @pytest.mark.parametrize("record,field", [
+        ("0,0,0,3,0,0,", "alice_bit"),
+        ("0,0,2,0,0,0,", "alice_basis"),
+        ("0,0,0,0,0,1,5", "bob_bit"),
+    ], ids=["alice_bit", "alice_basis", "bob_bit"])
+    def test_out_of_domain_field(self, record, field):
+        with pytest.raises(IngestError, match=f"record 1: field '{field}'"):
+            ingest_records_text(CSV_HEADER + "\n" + record + "\n")
 
     def test_wrong_column_count(self):
         text = CSV_HEADER + "\n0,0,0,0,0,0\n"

@@ -9,6 +9,8 @@ from passive_decoy import (ChannelModel, ObservedStatistics, ParameterError,
                            hom_coincidence_scan, monte_carlo_run,
                            predicted_statistics)
 
+from test_cli import REPO_CONFIG, read_json
+
 
 def make_channel(**overrides):
     base = dict(fiber_length_km=10.0,
@@ -75,6 +77,15 @@ class TestChannelFit:
         pred = predicted_statistics(reference_dists, fitted_channel)
         assert pred.q_nc == pytest.approx(reference_obs.q_nc, rel=1e-9)
         assert pred.e_nc == pytest.approx(reference_obs.e_nc, rel=1e-9)
+
+    def test_reproduces_reference_config_channel(self, fitted_channel):
+        # The shipped config holds the channel fitted to the reference
+        # observables; the fit must land within 2 ulp of those values.
+        channel = read_json(REPO_CONFIG)["channel"]
+        for got, want in (
+                (fitted_channel.bob_detector.eta_d, channel["bob_detector"]["eta_d"]),
+                (fitted_channel.misalignment, channel["misalignment"])):
+            assert abs(got - want) <= 2 * math.ulp(want)
 
     def test_predicts_click_branch_within_consistency_margin(
             self, reference_dists, reference_obs, fitted_channel):

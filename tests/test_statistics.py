@@ -5,8 +5,8 @@ import pytest
 
 from passive_decoy import (ParameterError, PulsePairParams, ThresholdDetector,
                            TruncationError, branch_distributions, branch_mean,
-                           g2, joint_probability, joint_probability_matrix)
-from passive_decoy.statistics import theta_nodes
+                           g2, joint_probability_matrix)
+from passive_decoy.statistics import _poisson_pmf_matrix, theta_nodes
 
 from conftest import REFERENCE_SOURCE, poisson_vector
 
@@ -51,18 +51,18 @@ class TestPulsePairParams:
     def test_gamma_within_unit_interval(self, mu1, mu2, t, overlap):
         p = PulsePairParams(mu1=mu1, mu2=mu2, t=t, overlap=overlap)
         th = np.linspace(-10, 10, 4001)
-        gam = p.kernel().gamma_of(th)
+        gam = p.gamma(th)
         assert np.all(gam >= -1e-15) and np.all(gam <= 1 + 1e-15)
 
     def test_gamma_periodic_and_even(self):
-        k = PulsePairParams(**REFERENCE_SOURCE).kernel()
+        p = PulsePairParams(**REFERENCE_SOURCE)
         th = np.linspace(0, 2 * np.pi, 97)
-        assert k.gamma_of(th) == pytest.approx(k.gamma_of(-th), abs=1e-15)
-        assert k.gamma_of(th) == pytest.approx(k.gamma_of(th + 2 * np.pi), abs=1e-12)
+        assert p.gamma(th) == pytest.approx(p.gamma(-th), abs=1e-15)
+        assert p.gamma(th) == pytest.approx(p.gamma(th + 2 * np.pi), abs=1e-12)
 
     def test_vacuum_has_no_kernel(self):
         with pytest.raises(ParameterError):
-            PulsePairParams(mu1=0.0, mu2=0.0, t=0.5).kernel()
+            PulsePairParams(mu1=0.0, mu2=0.0, t=0.5).gamma(0.0)
 
 
 class TestThresholdDetector:
@@ -71,6 +71,10 @@ class TestThresholdDetector:
             ThresholdDetector(epsilon=-0.1, eta_d=0.5)
         with pytest.raises(ParameterError):
             ThresholdDetector(epsilon=0.0, eta_d=1.2)
+
+
+def joint_probability(params, n, m):
+    return joint_probability_matrix(params, n, m)[n, m]
 
 
 class TestJointProbability:
@@ -107,11 +111,11 @@ class TestJointProbability:
     def test_rejects_beyond_cap(self):
         p = PulsePairParams(**REFERENCE_SOURCE)
         with pytest.raises(ParameterError):
-            joint_probability(p, 61, 0)
+            joint_probability_matrix(p, 61, 0)
         with pytest.raises(ParameterError):
-            joint_probability(p, 0, 61)
+            joint_probability_matrix(p, 0, 61)
         with pytest.raises(ParameterError):
-            joint_probability(p, -1, 0)
+            joint_probability_matrix(p, -1, 0)
 
     def test_normalization_to_cap(self):
         # nu <= 2: everything beyond the cap is dust.
@@ -196,8 +200,7 @@ class TestBranchDistributions:
         d = branch_distributions(reference_params, reference_detector)
         rng = np.random.default_rng(987654321)
         n_samples = 10_000_000
-        kern = reference_params.kernel()
-        gam = kern.gamma_of(rng.uniform(0, 2 * np.pi, n_samples))
+        gam = reference_params.gamma(rng.uniform(0, 2 * np.pi, n_samples))
         n_a = rng.poisson(reference_params.nu * gam)
         m_b = rng.poisson(reference_params.nu * (1 - gam))
         p_click = 1 - (1 - reference_detector.epsilon) * (1 - reference_detector.eta_d) ** m_b
@@ -243,6 +246,15 @@ class TestMomentFunctions:
     def test_branch_mean_total_matches_moment_identity(self, reference_dists):
         # Phase-averaged first moment collapses to mu1*t + mu2*(1-t).
         assert branch_mean(reference_dists.p_total) == pytest.approx(0.36, abs=1e-9)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.08, 0.72, 1.28, 6.0, 30.0])
+def test_poisson_pmf_matches_scipy_oracle(lam):
+    from scipy.stats import poisson
+
+    got = _poisson_pmf_matrix(np.array([lam]), 60)[:, 0]
+    want = poisson.pmf(np.arange(61), lam)
+    assert np.max(np.abs(got / want - 1.0)) < 1e-12
 
 
 def test_theta_nodes_midpoint_layout():
