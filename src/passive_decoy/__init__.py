@@ -6,12 +6,11 @@ pulse-level Monte Carlo forward model of the full link, and a deterministic
 source-parameter optimizer.
 """
 
-from .bounds import (E1Upper, KeyRateParams, KeyRateReport, ObservedStatistics,
-                     Y0Bounds, binary_entropy, e1_upper, key_rate,
-                     single_photon_bound, y0_bounds, y1_lower)
+from .bounds import (KeyRateParams, KeyRateReport, ObservedStatistics,
+                     binary_entropy, key_rate)
 from .config import Numerics, RunConfig, load_run_config, run_config_from_dict
 from .errors import (ConfigError, DegenerateSourceError, IngestError,
-                     NoSinglePhotonYieldError, ParameterError, TruncationError)
+                     ParameterError, TruncationError)
 from .optimize import (AxisSpec, OptimizationResult, ScanRow, SearchSpace,
                        optimize, scan_rate_vs_distance)
 from .records import (IngestedStatistics, RecordBatch, TallyCounts,
@@ -28,16 +27,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxisSpec", "BranchDistributions", "ChannelModel", "ConfigError",
-    "DegenerateSourceError", "E1Upper", "GroundTruth", "HomScan",
-    "IngestError", "IngestedStatistics", "KeyRateParams", "KeyRateReport",
-    "MonteCarloResult", "NoSinglePhotonYieldError", "Numerics",
-    "ObservedStatistics", "OptimizationResult", "ParameterError",
-    "PredictedStatistics", "PulsePairParams", "RecordBatch", "RunConfig",
-    "ScanRow", "SearchSpace", "TallyCounts", "ThresholdDetector",
-    "TruncationError", "Y0Bounds", "binary_entropy", "branch_distributions",
-    "branch_mean", "e1_upper", "fit_channel_to_observed", "g2",
-    "hom_coincidence_scan", "ingest_records", "joint_probability_matrix",
-    "key_rate", "load_run_config", "monte_carlo_run", "optimize",
-    "predicted_statistics", "run_config_from_dict", "scan_rate_vs_distance",
-    "single_photon_bound", "write_records_csv", "y0_bounds", "y1_lower",
+    "DegenerateSourceError", "GroundTruth", "HomScan", "IngestError",
+    "IngestedStatistics", "KeyRateParams", "KeyRateReport",
+    "MonteCarloResult", "Numerics", "ObservedStatistics",
+    "OptimizationResult", "ParameterError", "PredictedStatistics",
+    "PulsePairParams", "RecordBatch", "RunConfig", "ScanRow",
+    "SearchSpace", "TallyCounts", "ThresholdDetector", "TruncationError",
+    "binary_entropy", "branch_distributions", "branch_mean",
+    "fit_channel_to_observed", "g2", "hom_coincidence_scan",
+    "ingest_records", "joint_probability_matrix", "key_rate",
+    "load_run_config", "monte_carlo_run", "optimize",
+    "predicted_statistics", "run_config_from_dict",
+    "scan_rate_vs_distance", "write_records_csv",
 ]

@@ -87,6 +87,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else config.seed
     if seed is None:
         raise ConfigError("simulate requires a seed (flag --seed or config)")
+    if seed < 0:
+        raise ParameterError(f"--seed must be >= 0 (got {seed})")
     if args.pulses < 1:
         raise ParameterError(f"--pulses must be >= 1 (got {args.pulses})")
 
@@ -125,7 +127,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         channel=config.channel, alice_detector=config.alice_detector,
         refinement_levels=s.refinement_levels, key_params=config.key_params,
         overlap=config.source.overlap, n_max=config.numerics.n_max,
-        theta_nodes=config.numerics.theta_nodes)
+        theta_nodes=config.numerics.theta_nodes,
+        tail_tol=config.numerics.tail_tol)
     result = optimize(space)
     if args.format == "json":
         _write_text(dump_json(optimization_payload(result)), args.out)
@@ -147,7 +150,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     rows = scan_rate_vs_distance(
         (src.mu1, src.mu2, src.t), config.alice_detector, config.channel,
         lengths, config.key_params, overlap=src.overlap,
-        n_max=config.numerics.n_max, theta_nodes=config.numerics.theta_nodes)
+        n_max=config.numerics.n_max, theta_nodes=config.numerics.theta_nodes,
+        tail_tol=config.numerics.tail_tol)
     if args.format == "json":
         _write_text(dump_json(scan_payload(rows)), args.out)
     else:

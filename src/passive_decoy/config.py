@@ -19,6 +19,11 @@ from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
                          PHOTON_NUMBER_CAP, PulsePairParams, ThresholdDetector)
 
 
+def _is_int(value) -> bool:
+    """True for a JSON integer; JSON booleans load as ``bool``, an ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, slots=True)
 class Numerics:
     n_max: int = DEFAULT_N_MAX
@@ -26,6 +31,9 @@ class Numerics:
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self) -> None:
+        for name, value in (("n_max", self.n_max), ("theta_nodes", self.theta_nodes)):
+            if not _is_int(value):
+                raise ParameterError(f"{name} must be an integer (got {value!r})")
         if not 2 <= self.n_max <= PHOTON_NUMBER_CAP:
             raise ParameterError(
                 f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {self.n_max})")
@@ -83,7 +91,10 @@ def _axis(section: str, name: str, value) -> tuple[float, float, int]:
     if (not isinstance(value, (list, tuple)) or len(value) != 3):
         raise ConfigError(f"{section}.{name} must be [lo, hi, points]")
     lo, hi, points = value
-    if not isinstance(points, int):
+    if not all(_is_int(v) or isinstance(v, float) for v in (lo, hi)):
+        raise ConfigError(f"{section}.{name}: lo and hi must be numbers "
+                          f"(got {lo!r}, {hi!r})")
+    if not _is_int(points):
         raise ConfigError(f"{section}.{name}: points must be an integer")
     return (float(lo), float(hi), points)
 
@@ -128,8 +139,8 @@ def run_config_from_dict(doc: dict) -> RunConfig:
                        {"n_max", "theta_nodes", "tail_tol"}))
 
     seed = doc.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if seed is not None and not (_is_int(seed) and seed >= 0):
+        raise ConfigError(f"seed must be a non-negative integer (got {seed!r})")
 
     search = None
     s_data = _section(doc, "search", False)
@@ -141,7 +152,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
             if axis_name not in s_data:
                 raise ConfigError(f"missing required field search.{axis_name}")
         levels = s_data.get("refinement_levels", 2)
-        if not isinstance(levels, int) or levels < 1:
+        if not _is_int(levels) or levels < 1:
             raise ConfigError("search.refinement_levels must be a positive integer")
         search = SearchSection(
             mu1=_axis("search", "mu1", s_data["mu1"]),

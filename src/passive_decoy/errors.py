@@ -26,13 +26,5 @@ class DegenerateSourceError(RuntimeError):
     """
 
 
-class NoSinglePhotonYieldError(RuntimeError):
-    """No positive single-photon yield could be established from the data.
-
-    Callers computing a key rate should map this to a zero rate instead of
-    aborting a batch.
-    """
-
-
 class IngestError(ValueError):
     """A statistics or click-record file failed to parse or validate."""

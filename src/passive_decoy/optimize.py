@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import KeyRateParams, key_rate
-from .errors import (DegenerateSourceError, NoSinglePhotonYieldError,
-                     ParameterError)
+from .errors import DegenerateSourceError, ParameterError
 from .simulate import ChannelModel, predicted_statistics
-from .statistics import (DEFAULT_N_MAX, DEFAULT_THETA_NODES, PulsePairParams,
+from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
+                         BranchDistributions, PulsePairParams,
                          ThresholdDetector, branch_distributions)
 
 SHRINK_FACTOR = 3.0
@@ -69,6 +69,7 @@ class SearchSpace:
     overlap: float = 1.0
     n_max: int = DEFAULT_N_MAX
     theta_nodes: int = DEFAULT_THETA_NODES
+    tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self) -> None:
         if self.refinement_levels < 1:
@@ -98,29 +99,40 @@ class OptimizationResult:
     all_zero: bool
 
 
+def _score(dists: BranchDistributions, channel: ChannelModel,
+           key_params: KeyRateParams) -> tuple[float, str]:
+    """Predicted rate of one source over one channel, with its flag.
+
+    A source with no decoy information (factorized) scores zero, flagged
+    "degenerate"; one with no certified single-photon yield keeps its rate,
+    flagged "no_yield".
+    """
+    obs = predicted_statistics(dists, channel)
+    try:
+        report = key_rate(dists, obs, key_params)
+    except DegenerateSourceError:
+        return 0.0, "degenerate"
+    if report.diagnostics["no_single_photon_yield"]:
+        return float(report.r_total), "no_yield"
+    return float(report.r_total), ""
+
+
 def rate_for_point(mu1: float, mu2: float, t: float,
                    space: SearchSpace) -> tuple[float, str]:
     """Predicted rate at one source point; degeneracies score zero, flagged.
 
-    A grid may legitimately touch configurations with no decoy information
-    (factorized source) or no certified single-photon yield; those are worth
+    A grid may legitimately touch configurations with no decoy information,
+    no certified single-photon yield or an invalid source; those are worth
     zero to the search, not an abort.
     """
     try:
         params = PulsePairParams(mu1=mu1, mu2=mu2, t=t, overlap=space.overlap)
         dists = branch_distributions(params, space.alice_detector, space.n_max,
-                                     nodes=space.theta_nodes)
-        obs = predicted_statistics(dists, space.channel)
-        report = key_rate(dists, obs, space.key_params)
-    except DegenerateSourceError:
-        return 0.0, "degenerate"
-    except NoSinglePhotonYieldError:
-        return 0.0, "no_yield"
+                                     nodes=space.theta_nodes,
+                                     tail_tol=space.tail_tol)
+        return _score(dists, space.channel, space.key_params)
     except ParameterError:
         return 0.0, "invalid"
-    if report.diagnostics.get("no_single_photon_yield"):
-        return float(report.r_total), "no_yield"
-    return float(report.r_total), ""
 
 
 def _evaluate_grid(level: int, axes: tuple[AxisSpec, AxisSpec, AxisSpec],
@@ -192,7 +204,8 @@ def scan_rate_vs_distance(point: tuple[float, float, float],
                           lengths: Sequence[float],
                           key_params: KeyRateParams = KeyRateParams(),
                           *, overlap: float = 1.0, n_max: int = DEFAULT_N_MAX,
-                          theta_nodes: int = DEFAULT_THETA_NODES) -> list[ScanRow]:
+                          theta_nodes: int = DEFAULT_THETA_NODES,
+                          tail_tol: float = DEFAULT_TAIL_TOL) -> list[ScanRow]:
     """Key rate of a fixed source point across fiber lengths (sorted rows)."""
     if len(lengths) == 0:
         raise ParameterError("lengths must be non-empty")
@@ -200,15 +213,11 @@ def scan_rate_vs_distance(point: tuple[float, float, float],
         raise ParameterError("fiber lengths must be >= 0")
     mu1, mu2, t = point
     params = PulsePairParams(mu1=mu1, mu2=mu2, t=t, overlap=overlap)
-    dists = branch_distributions(params, det, n_max, nodes=theta_nodes)
+    dists = branch_distributions(params, det, n_max, nodes=theta_nodes,
+                                 tail_tol=tail_tol)
     rows = []
     for length in sorted(lengths):
         ch = replace(ch_template, fiber_length_km=float(length))
-        obs = predicted_statistics(dists, ch)
-        try:
-            report = key_rate(dists, obs, key_params)
-            rate = report.r_total
-        except (DegenerateSourceError, NoSinglePhotonYieldError):
-            rate = 0.0
+        rate, _ = _score(dists, ch, key_params)
         rows.append(ScanRow(length_km=float(length), rate=rate))
     return rows

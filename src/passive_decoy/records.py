@@ -152,10 +152,20 @@ def _parse_int_field(value: str, name: str, line_no: int, allowed: tuple) -> int
     return parsed
 
 
-def _rows_to_batch(rows: list[tuple]) -> RecordBatch:
+def _rows_to_batch(rows: list[tuple], first_record: int) -> RecordBatch:
+    """Column arrays for parsed rows; ``first_record`` is the 1-based index
+    of ``rows[0]``, used to locate a ``pulse_index`` beyond int64."""
     cols = list(zip(*rows))
+    try:
+        pulse_index = np.asarray(cols[0], dtype=np.int64)
+    except OverflowError:
+        info = np.iinfo(np.int64)
+        offset, value = next((i, v) for i, v in enumerate(cols[0])
+                             if not info.min <= v <= info.max)
+        raise IngestError(f"record {first_record + offset}: field 'pulse_index' "
+                          f"is outside the 64-bit integer range (got {value})") from None
     return RecordBatch(
-        pulse_index=np.asarray(cols[0], dtype=np.int64),
+        pulse_index=pulse_index,
         alice_click=np.asarray(cols[1], dtype=np.int8),
         alice_basis=np.asarray(cols[2], dtype=np.int8),
         alice_bit=np.asarray(cols[3], dtype=np.int8),
@@ -211,10 +221,10 @@ def iter_batches_from_csv(source) -> Iterator[RecordBatch]:
                 bob = _parse_int_field(parts[6], "bob_bit", record_no, (0, 1))
             rows.append((idx, click, abasis, abit, bbasis, det, bob))
             if len(rows) >= _PARSE_BATCH:
-                yield _rows_to_batch(rows)
+                yield _rows_to_batch(rows, record_no - len(rows) + 1)
                 rows = []
         if rows:
-            yield _rows_to_batch(rows)
+            yield _rows_to_batch(rows, record_no - len(rows) + 1)
         if record_no == 0:
             raise IngestError("no records in file")
     finally:

@@ -18,7 +18,7 @@ from .optimize import OptimizationResult, ScanRow
 from .statistics import BranchDistributions, branch_mean, g2
 
 SCHEMA_NAMES = ("run_config", "observed_stats", "distribution_report",
-                "keyrate_report")
+                "keyrate_report", "optimization_result", "rate_scan")
 
 
 def dump_json(payload: dict) -> str:

@@ -132,13 +132,6 @@ class BranchDistributions:
     p_total: np.ndarray
     tail_mass: float
 
-    def branch(self, label: str) -> np.ndarray:
-        """Return the array for branch label 'c', 'nc' or 't'."""
-        try:
-            return {"c": self.p_click, "nc": self.p_noclick, "t": self.p_total}[label]
-        except KeyError:
-            raise ParameterError(f"unknown branch label {label!r}") from None
-
 
 def theta_nodes(count: int) -> np.ndarray:
     """Midpoint quadrature nodes on [0, 2*pi)."""

@@ -12,11 +12,10 @@ import pytest
 
 from passive_decoy import (AxisSpec, ChannelModel, KeyRateParams,
                            PulsePairParams, SearchSpace, ThresholdDetector,
-                           branch_distributions, e1_upper, g2,
-                           hom_coincidence_scan, joint_probability_matrix,
-                           key_rate, monte_carlo_run, optimize,
-                           predicted_statistics, single_photon_bound,
-                           write_records_csv, y0_bounds, y1_lower)
+                           branch_distributions, g2, hom_coincidence_scan,
+                           joint_probability_matrix, key_rate,
+                           monte_carlo_run, optimize, predicted_statistics,
+                           write_records_csv)
 from passive_decoy.cli import main as cli_main
 from passive_decoy.optimize import rate_for_point
 from passive_decoy.reports import dump_json, keyrate_report_payload
@@ -174,20 +173,18 @@ def test_criterion_6_bound_soundness_sweep():
         dists = branch_distributions(src, det)
         pred = predicted_statistics(dists, ch)
         truth = pred.truth
-        b = y0_bounds(dists, pred, params)
-        if not (b.lower <= truth.y0 * (1 + 1e-9) + 1e-15
-                and b.upper >= truth.y0 * (1 - 1e-9) - 1e-15):
+        report = key_rate(dists, pred, params)
+        if not (report.y0_lower <= truth.y0 * (1 + 1e-9) + 1e-15
+                and report.y0_upper >= truth.y0 * (1 - 1e-9) - 1e-15):
             violations += 1
             continue
         bad = False
-        for branch, arr in (("c", dists.p_click), ("nc", dists.p_noclick)):
-            bound = single_photon_bound(dists, pred, b.upper, branch)
+        for bound, arr in ((report.combined_lower_c, dists.p_click),
+                           (report.combined_lower_nc, dists.p_noclick)):
             true_combo = arr[1] * truth.y1 + arr[0] * truth.y0
             bad = bad or bound > true_combo * (1 + 1e-9) + 1e-15
-        y1l = y1_lower(dists, pred, b.upper)
-        if y1l > 0.0:
-            e1 = e1_upper(dists, pred, b.lower, y1l, params)
-            bad = bad or e1.value < truth.e1 * (1 - 1e-9) - 1e-15
+        if report.y1_lower > 0.0:
+            bad = bad or report.e1_upper < truth.e1 * (1 - 1e-9) - 1e-15
         else:
             no_yield += 1
         violations += bad

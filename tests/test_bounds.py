@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from passive_decoy import (ChannelModel, DegenerateSourceError, KeyRateParams,
-                           NoSinglePhotonYieldError, ObservedStatistics,
-                           ParameterError, PulsePairParams, ThresholdDetector,
-                           binary_entropy, branch_distributions, e1_upper,
-                           key_rate, predicted_statistics, single_photon_bound,
-                           y0_bounds, y1_lower)
+                           ObservedStatistics, ParameterError, PulsePairParams,
+                           ThresholdDetector, binary_entropy,
+                           branch_distributions, key_rate,
+                           predicted_statistics)
 
 from conftest import REFERENCE_RATE
 
@@ -98,73 +97,68 @@ def synthetic_sweep_points(count, seed=1234509876):
 class TestY0Bounds:
     def test_no_errors_forces_zero(self, reference_dists):
         obs = ObservedStatistics(q_c=1e-6, e_c=0.0, q_nc=1e-4, e_nc=0.0)
-        b = y0_bounds(reference_dists, obs, KeyRateParams())
-        assert b.upper == 0.0
-        assert b.lower == 0.0
+        report = key_rate(reference_dists, obs, KeyRateParams())
+        assert report.y0_upper == 0.0
+        assert report.y0_lower == 0.0
 
     def test_lower_clamped_into_upper(self, reference_dists, reference_obs):
-        b = y0_bounds(reference_dists, reference_obs, KeyRateParams())
-        assert 0.0 <= b.lower <= b.upper
-        assert b.upper_branch in ("c", "nc")
+        report = key_rate(reference_dists, reference_obs, KeyRateParams())
+        assert 0.0 <= report.y0_lower <= report.y0_upper
+        assert report.diagnostics["y0_upper_branch"] in ("c", "nc")
 
     def test_degenerate_source_raises(self, reference_obs):
         factorized = PulsePairParams(mu1=0.64, mu2=0.08, t=0.5, overlap=0.0)
         dists = branch_distributions(factorized, ThresholdDetector(1.2e-5, 0.10))
         with pytest.raises(DegenerateSourceError):
-            y0_bounds(dists, reference_obs, KeyRateParams())
+            key_rate(dists, reference_obs, KeyRateParams())
 
     def test_sound_on_synthetic_channels(self):
         for params, det, ch in synthetic_sweep_points(100):
             dists = branch_distributions(params, det)
             pred = predicted_statistics(dists, ch)
-            b = y0_bounds(dists, pred, KeyRateParams())
-            assert b.lower <= pred.truth.y0 * (1 + 1e-9) + 1e-15
-            assert b.upper >= pred.truth.y0 * (1 - 1e-9) - 1e-15
+            report = key_rate(dists, pred, KeyRateParams())
+            assert report.y0_lower <= pred.truth.y0 * (1 + 1e-9) + 1e-15
+            assert report.y0_upper >= pred.truth.y0 * (1 - 1e-9) - 1e-15
 
 
 class TestSinglePhotonBound:
     def test_zero_gains_clamp_to_zero(self, reference_dists):
-        obs = ObservedStatistics(0.0, 0.0, 0.0, 0.0)
-        for branch in ("c", "nc"):
-            assert single_photon_bound(reference_dists, obs, 0.0, branch) == 0.0
+        report = key_rate(reference_dists, ObservedStatistics(0.0, 0.0, 0.0, 0.0))
+        assert report.y0_upper == 0.0
+        assert report.combined_lower_c == 0.0
+        assert report.combined_lower_nc == 0.0
 
     def test_sound_on_synthetic_channels(self):
         for params, det, ch in synthetic_sweep_points(100, seed=777001):
             dists = branch_distributions(params, det)
             pred = predicted_statistics(dists, ch)
-            b = y0_bounds(dists, pred, KeyRateParams())
-            for branch, arr in (("c", dists.p_click), ("nc", dists.p_noclick)):
-                bound = single_photon_bound(dists, pred, b.upper, branch)
+            report = key_rate(dists, pred, KeyRateParams())
+            for bound, arr in ((report.combined_lower_c, dists.p_click),
+                               (report.combined_lower_nc, dists.p_noclick)):
                 truth = arr[1] * pred.truth.y1 + arr[0] * pred.truth.y0
                 assert bound <= truth * (1 + 1e-9) + 1e-15
-
-    def test_rejects_unknown_branch(self, reference_dists, reference_obs):
-        with pytest.raises(ParameterError):
-            single_photon_bound(reference_dists, reference_obs, 0.0, "x")
 
 
 class TestE1Upper:
     def test_no_errors_gives_zero(self, reference_dists):
-        obs = ObservedStatistics(q_c=1e-6, e_c=0.0, q_nc=1e-4, e_nc=0.0)
-        e1 = e1_upper(reference_dists, obs, 0.0, 1e-4, KeyRateParams())
-        assert e1.value == 0.0
-
-    def test_zero_yield_raises(self, reference_dists, reference_obs):
-        with pytest.raises(NoSinglePhotonYieldError):
-            e1_upper(reference_dists, reference_obs, 0.0, 0.0, KeyRateParams())
+        # The reference gains certify a single-photon yield; without errors
+        # every e1 clause is zero.
+        obs = ObservedStatistics(q_c=2.54e-6, e_c=0.0, q_nc=8.18e-5, e_nc=0.0)
+        report = key_rate(reference_dists, obs, KeyRateParams())
+        assert report.y1_lower > 0.0
+        assert report.e1_upper == 0.0
 
     def test_sound_on_synthetic_channels(self):
         skipped = 0
         for params, det, ch in synthetic_sweep_points(100, seed=424242):
             dists = branch_distributions(params, det)
             pred = predicted_statistics(dists, ch)
-            b = y0_bounds(dists, pred, KeyRateParams())
-            y1l = y1_lower(dists, pred, b.upper)
-            if y1l <= 0.0:
+            report = key_rate(dists, pred, KeyRateParams())
+            if report.e1_upper is None:
+                assert report.y1_lower == 0.0
                 skipped += 1
                 continue
-            e1 = e1_upper(dists, pred, b.lower, y1l, KeyRateParams())
-            assert e1.value >= pred.truth.e1 * (1 - 1e-9) - 1e-15
+            assert report.e1_upper >= pred.truth.e1 * (1 - 1e-9) - 1e-15
         assert skipped < 100
 
 

@@ -220,6 +220,7 @@ class TestOptimizeAndScanCommands:
         assert run_cli("scan", "--config", config_path, "--lengths", "5,15",
                        "--format", "json", "--out", str(out)) == EXIT_OK
         payload = read_json(out)
+        jsonschema.validate(payload, load_schema("rate_scan"))
         assert payload["kind"] == "rate_scan"
         assert len(payload["rows"]) == 2
 
@@ -233,9 +234,26 @@ class TestOptimizeAndScanCommands:
         assert run_cli("optimize", "--config", str(cfg), "--format", "json",
                        "--out", str(out)) == EXIT_OK
         payload = read_json(out)
+        jsonschema.validate(payload, load_schema("optimization_result"))
         assert payload["kind"] == "optimization_result"
         assert payload["evaluations"] == 27
         assert isinstance(payload["all_zero"], bool)
+
+    def test_optimize_and_scan_honour_tail_tol(self, tmp_path):
+        # Four photons leave about 1e-4 of the reference source's mass
+        # untruncated: within 1e-3, far beyond the default 1e-12.
+        doc = read_json(REPO_CONFIG)
+        doc["numerics"] = {"n_max": 4, "theta_nodes": 256, "tail_tol": 1e-3}
+        doc["search"] = {"mu1": [0.64, 0.64, 1], "mu2": [0.08, 0.08, 1],
+                         "t": [0.5, 0.5, 1], "refinement_levels": 1}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert run_cli("distribution", "--config", str(cfg),
+                       "--out", str(tmp_path / "d.json")) == EXIT_OK
+        assert run_cli("optimize", "--config", str(cfg),
+                       "--out", str(tmp_path / "o.csv")) == EXIT_OK
+        assert run_cli("scan", "--config", str(cfg), "--lengths", "0,10",
+                       "--out", str(tmp_path / "s.csv")) == EXIT_OK
 
 
 class TestConfigFiles:
@@ -244,6 +262,31 @@ class TestConfigFiles:
 
     def test_repo_stats_matches_schema(self):
         jsonschema.validate(read_json(REPO_STATS), load_schema("observed_stats"))
+
+    @pytest.mark.parametrize("path,value,command,field", [
+        (("seed",), -1, ["simulate"], "seed"),
+        (("seed",), True, ["simulate"], "seed"),
+        ((), None, ["simulate", "--seed", "-1"], "--seed"),
+        (("search", "mu1"), ["a", 1, 3], ["optimize"], "search.mu1"),
+        (("numerics", "n_max"), 2.5, ["distribution"], "n_max"),
+    ], ids=["seed_negative", "seed_bool", "seed_flag_negative",
+            "search_axis_not_numeric", "n_max_not_integer"])
+    def test_bad_field_exits_validation(self, tmp_path, capsys, path, value,
+                                        command, field):
+        doc = read_json(REPO_CONFIG)
+        if path:
+            *parents, leaf = path
+            section = doc
+            for name in parents:
+                section = section[name]
+            section[leaf] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        if command[0] == "simulate":
+            command = [*command, "--pulses", "10", "--out", str(tmp_path / "r.csv")]
+        assert run_cli(*command, "--config", str(cfg)) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         doc = read_json(REPO_CONFIG)

@@ -86,7 +86,8 @@ class TestIngestValidation:
         ("0,0,0,3,0,0,", "alice_bit"),
         ("0,0,2,0,0,0,", "alice_basis"),
         ("0,0,0,0,0,1,5", "bob_bit"),
-    ], ids=["alice_bit", "alice_basis", "bob_bit"])
+        ("99999999999999999999,0,0,0,0,0,", "pulse_index"),
+    ], ids=["alice_bit", "alice_basis", "bob_bit", "pulse_index"])
     def test_out_of_domain_field(self, record, field):
         with pytest.raises(IngestError, match=f"record 1: field '{field}'"):
             ingest_records_text(CSV_HEADER + "\n" + record + "\n")

@@ -207,9 +207,10 @@ class TestBranchDistributions:
         clicked = rng.random(n_samples) < p_click
         for n in range(11):
             in_bin = n_a == n
-            for label, mask in (("c", in_bin & clicked), ("nc", in_bin & ~clicked)):
+            for label, mask, branch in (("c", in_bin & clicked, d.p_click),
+                                        ("nc", in_bin & ~clicked, d.p_noclick)):
                 p_hat = np.count_nonzero(mask) / n_samples
-                p_ref = d.branch(label)[n]
+                p_ref = branch[n]
                 se = math.sqrt(max(p_ref * (1 - p_ref), 1e-300) / n_samples)
                 assert abs(p_hat - p_ref) < 4 * se + 1e-12, (n, label)
 
