@@ -84,7 +84,8 @@ class KeyRateParams:
             raise ParameterError(f"q must be within (0, 1] (got {self.q})")
         if not self.f >= 1.0:
             raise ParameterError(f"f must be >= 1 (got {self.f})")
-        _check_unit_interval("e0", self.e0)
+        if not 0.0 < self.e0 <= 1.0:
+            raise ParameterError(f"e0 must be within (0, 1] (got {self.e0})")
 
 
 def binary_entropy(x: float) -> float:

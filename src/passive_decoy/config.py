@@ -1,27 +1,28 @@
-"""Run configuration: one JSON document per run.
+"""Run configuration: one JSON document per run, described by ``RunConfig``.
 
-Sections: ``source`` (pulse pair), ``alice_detector`` (monitor detector),
-optional ``channel`` (link model for simulation/prediction), ``key_params``,
-``numerics`` (truncation and quadrature controls), optional ``seed`` and an
-optional ``search`` section for the optimizer.  Validation errors name the
+The dataclasses define the document: starting at ``RunConfig``, each
+dataclass is a JSON object whose keys are its field names, a field without a
+default is required, and the field's annotation gives the JSON type.  A
+``float`` is a finite number and an ``int`` an integer (``2`` or ``2.0``);
+neither takes a boolean.  An optional field (``X | None``) may be absent but
+not null.  A ``tuple`` is an array of exactly that many items.  Each
+dataclass's ``__post_init__`` checks ranges.  Validation errors name the
 offending field as ``section.field``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+import sys
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .bounds import KeyRateParams
 from .errors import ConfigError, IngestError, ParameterError
 from .simulate import ChannelModel
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
                          PHOTON_NUMBER_CAP, PulsePairParams, ThresholdDetector)
-
-
-def _is_int(value) -> bool:
-    """True for a JSON integer; JSON booleans load as ``bool``, an ``int``."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,9 +32,6 @@ class Numerics:
     tail_tol: float = DEFAULT_TAIL_TOL
 
     def __post_init__(self) -> None:
-        for name, value in (("n_max", self.n_max), ("theta_nodes", self.theta_nodes)):
-            if not _is_int(value):
-                raise ParameterError(f"{name} must be an integer (got {value!r})")
         if not 2 <= self.n_max <= PHOTON_NUMBER_CAP:
             raise ParameterError(
                 f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {self.n_max})")
@@ -52,6 +50,11 @@ class SearchSection:
     t: tuple[float, float, int]
     refinement_levels: int = 2
 
+    def __post_init__(self) -> None:
+        if self.refinement_levels < 1:
+            raise ParameterError(
+                f"refinement_levels must be >= 1 (got {self.refinement_levels})")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -63,106 +66,63 @@ class RunConfig:
     seed: int | None = None
     search: SearchSection | None = None
 
-
-def _section(doc: dict, name: str, required: bool) -> dict | None:
-    if name not in doc:
-        if required:
-            raise ConfigError(f"missing required section {name!r}")
-        return None
-    value = doc[name]
-    if not isinstance(value, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    return value
+    def __post_init__(self) -> None:
+        if self.seed is not None and self.seed < 0:
+            raise ParameterError(f"seed must be >= 0 (got {self.seed})")
 
 
-def _build(section: str, cls, data: dict, allowed: set[str], **extra):
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown field {section}.{sorted(unknown)[0]}")
-    try:
-        return cls(**data, **extra)
-    except TypeError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
-    except ParameterError as exc:
-        raise ConfigError(f"{section}: {exc}") from None
+# Resolving the string annotations is most of the cost of a load; do it once.
+_type_hints = functools.cache(typing.get_type_hints)
 
 
-def _axis(section: str, name: str, value) -> tuple[float, float, int]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 3):
-        raise ConfigError(f"{section}.{name} must be [lo, hi, points]")
-    lo, hi, points = value
-    if not all(_is_int(v) or isinstance(v, float) for v in (lo, hi)):
-        raise ConfigError(f"{section}.{name}: lo and hi must be numbers "
-                          f"(got {lo!r}, {hi!r})")
-    if not _is_int(points):
-        raise ConfigError(f"{section}.{name}: points must be an integer")
-    return (float(lo), float(hi), points)
+def _from_json(path: str, tp, value):
+    """Build an instance of the annotated type ``tp`` from JSON ``value``.
+
+    ``path`` is the dotted location of ``value`` in the document ("" for the
+    root) and prefixes every error message.
+    """
+    args = typing.get_args(tp)
+    if type(None) in args:  # ``X | None``: absent means the default None
+        (tp,) = (arg for arg in args if arg is not type(None))
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path or 'configuration root'} must be a JSON object")
+        prefix = f"{path}." if path else ""
+        unknown = sorted(set(value) - {f.name for f in fields(tp)})
+        if unknown:
+            raise ConfigError(f"unknown field {prefix}{unknown[0]}")
+        hints = _type_hints(tp)
+        kwargs = {}
+        for f in fields(tp):
+            if f.name in value:
+                kwargs[f.name] = _from_json(prefix + f.name, hints[f.name], value[f.name])
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing required field {prefix}{f.name}")
+        try:
+            return tp(**kwargs)
+        except ParameterError as exc:
+            raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
+    if typing.get_origin(tp) is tuple:
+        if not isinstance(value, list) or len(value) != len(args):
+            raise ConfigError(f"{path} must be an array of {len(args)} items "
+                              f"(got {value!r})")
+        return tuple(_from_json(f"{path}[{i}]", item_tp, item)
+                     for i, (item_tp, item) in enumerate(zip(args, value)))
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int:
+        if not is_number or (isinstance(value, float) and not value.is_integer()):
+            raise ConfigError(f"{path} must be an integer (got {value!r})")
+        return int(value)
+    if tp is float:
+        # ``abs(value) <= max`` is false for nan, inf and ints beyond a float.
+        if not (is_number and abs(value) <= sys.float_info.max):
+            raise ConfigError(f"{path} must be a finite number (got {value!r})")
+        return float(value)
+    raise TypeError(f"no JSON form for {path} of type {tp!r}")
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    known = {"source", "alice_detector", "channel", "key_params", "numerics",
-             "seed", "search"}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown section {sorted(unknown)[0]!r}")
-
-    source = _build("source", PulsePairParams, _section(doc, "source", True),
-                    {"mu1", "mu2", "t", "overlap"})
-    alice = _build("alice_detector", ThresholdDetector,
-                   _section(doc, "alice_detector", True), {"epsilon", "eta_d"})
-
-    channel = None
-    ch_data = _section(doc, "channel", False)
-    if ch_data is not None:
-        ch_data = dict(ch_data)
-        bob_raw = ch_data.pop("bob_detector", None)
-        if bob_raw is None:
-            raise ConfigError("missing required field channel.bob_detector")
-        if not isinstance(bob_raw, dict):
-            raise ConfigError("channel.bob_detector must be an object")
-        bob = _build("channel.bob_detector", ThresholdDetector, bob_raw,
-                     {"epsilon", "eta_d"})
-        channel = _build("channel", ChannelModel, ch_data,
-                         {"fiber_length_km", "misalignment",
-                          "alice_internal_loss_db", "fiber_loss_db_per_km"},
-                         bob_detector=bob)
-
-    kp_data = _section(doc, "key_params", False)
-    key_params = (KeyRateParams() if kp_data is None else
-                  _build("key_params", KeyRateParams, kp_data, {"q", "f", "e0"}))
-
-    num_data = _section(doc, "numerics", False)
-    numerics = (Numerics() if num_data is None else
-                _build("numerics", Numerics, num_data,
-                       {"n_max", "theta_nodes", "tail_tol"}))
-
-    seed = doc.get("seed")
-    if seed is not None and not (_is_int(seed) and seed >= 0):
-        raise ConfigError(f"seed must be a non-negative integer (got {seed!r})")
-
-    search = None
-    s_data = _section(doc, "search", False)
-    if s_data is not None:
-        unknown = set(s_data) - {"mu1", "mu2", "t", "refinement_levels"}
-        if unknown:
-            raise ConfigError(f"unknown field search.{sorted(unknown)[0]}")
-        for axis_name in ("mu1", "mu2", "t"):
-            if axis_name not in s_data:
-                raise ConfigError(f"missing required field search.{axis_name}")
-        levels = s_data.get("refinement_levels", 2)
-        if not _is_int(levels) or levels < 1:
-            raise ConfigError("search.refinement_levels must be a positive integer")
-        search = SearchSection(
-            mu1=_axis("search", "mu1", s_data["mu1"]),
-            mu2=_axis("search", "mu2", s_data["mu2"]),
-            t=_axis("search", "t", s_data["t"]),
-            refinement_levels=levels)
-
-    return RunConfig(source=source, alice_detector=alice, channel=channel,
-                     key_params=key_params, numerics=numerics, seed=seed,
-                     search=search)
+    return _from_json("", RunConfig, doc)
 
 
 def load_run_config(path: str) -> RunConfig:

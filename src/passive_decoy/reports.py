@@ -9,6 +9,7 @@ header row and fixed column order.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from importlib import resources
 
 from .bounds import KeyRateParams, KeyRateReport, ObservedStatistics
@@ -41,15 +42,11 @@ def _g2_or_none(dist) -> float | None:
 
 def distribution_report(config: RunConfig, dists: BranchDistributions) -> dict:
     src = config.source
-    det = config.alice_detector
-    num = config.numerics
     return {
         "kind": "distribution_report",
-        "source": {"mu1": src.mu1, "mu2": src.mu2, "t": src.t,
-                   "overlap": src.overlap},
-        "alice_detector": {"epsilon": det.epsilon, "eta_d": det.eta_d},
-        "numerics": {"n_max": num.n_max, "theta_nodes": num.theta_nodes,
-                     "tail_tol": num.tail_tol},
+        "source": asdict(src),
+        "alice_detector": asdict(config.alice_detector),
+        "numerics": asdict(config.numerics),
         "n_max": dists.n_max,
         "p_click": dists.p_click.tolist(),
         "p_noclick": dists.p_noclick.tolist(),
@@ -116,7 +113,7 @@ def keyrate_report_payload(report: KeyRateReport, stats: ObservedStatistics,
         "observed": {"q_c": stats.q_c, "e_c": stats.e_c,
                      "q_nc": stats.q_nc, "e_nc": stats.e_nc,
                      "q_t": stats.q_t, "e_t": stats.e_t},
-        "key_params": {"q": params.q, "f": params.f, "e0": params.e0},
+        "key_params": asdict(params),
         "bounds": {"y0_lower": report.y0_lower, "y0_upper": report.y0_upper,
                    "y1_lower": report.y1_lower, "e1_upper": report.e1_upper,
                    "combined_lower_c": report.combined_lower_c,

@@ -70,8 +70,10 @@ class PulsePairParams:
         _check_nonnegative("mu2", self.mu2)
         _check_unit_interval("t", self.t)
         _check_unit_interval("overlap", self.overlap)
-        # AM-GM guarantees |xi| <= min(mode means) <= nu for in-range inputs.
-        assert self.xi <= self.nu + 1e-15
+        # AM-GM bounds xi by nu for in-range inputs unless mu1 * mu2 overflows.
+        if not self.xi <= self.nu + 1e-15:
+            raise ParameterError(f"mu1 * mu2 is not representable as a float "
+                                 f"(got mu1={self.mu1}, mu2={self.mu2})")
 
     @property
     def nu(self) -> float:

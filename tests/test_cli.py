@@ -269,8 +269,27 @@ class TestConfigFiles:
         ((), None, ["simulate", "--seed", "-1"], "--seed"),
         (("search", "mu1"), ["a", 1, 3], ["optimize"], "search.mu1"),
         (("numerics", "n_max"), 2.5, ["distribution"], "n_max"),
+        (("key_params", "e0"), 0.0, ["keyrate", REPO_STATS], "e0"),
+        (("source", "mu1"), True, ["distribution"], "source.mu1"),
+        (("alice_detector", "eta_d"), True, ["distribution"],
+         "alice_detector.eta_d"),
+        (("channel", "misalignment"), True, ["distribution"],
+         "channel.misalignment"),
+        (("key_params", "q"), True, ["distribution"], "key_params.q"),
+        (("numerics", "tail_tol"), True, ["distribution"], "numerics.tail_tol"),
+        (("key_params", "f"), float("inf"), ["keyrate", REPO_STATS],
+         "key_params.f"),
+        (("source", "mu1"), float("inf"), ["distribution"], "source.mu1"),
+        (("source", "mu1"), 10 ** 400, ["distribution"], "source.mu1"),
+        (("source",), {"mu1": 1e200, "mu2": 1e200, "t": 0.5}, ["distribution"],
+         "mu1 * mu2"),
+        (("source",), {"mu1": 0.64, "mu2": 0.08}, ["distribution"], "source.t"),
+        (("source", "mu1"), "0.64", ["distribution"], "source.mu1"),
     ], ids=["seed_negative", "seed_bool", "seed_flag_negative",
-            "search_axis_not_numeric", "n_max_not_integer"])
+            "search_axis_not_numeric", "n_max_not_integer", "e0_zero",
+            "mu1_bool", "eta_d_bool", "misalignment_bool", "q_bool",
+            "tail_tol_bool", "f_infinite", "mu1_infinite", "mu1_int_overflow",
+            "mu1_mu2_product_overflow", "source_t_missing", "mu1_string"])
     def test_bad_field_exits_validation(self, tmp_path, capsys, path, value,
                                         command, field):
         doc = read_json(REPO_CONFIG)
