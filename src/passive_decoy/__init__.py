@@ -13,10 +13,9 @@ from .errors import (ConfigError, DegenerateSourceError, IngestError,
                      ParameterError, TruncationError)
 from .optimize import (AxisSpec, OptimizationResult, ScanRow, SearchSpace,
                        optimize, scan_rate_vs_distance)
-from .records import (IngestedStatistics, RecordBatch, TallyCounts,
-                      ingest_records, write_records_csv)
-from .simulate import (ChannelModel, GroundTruth, HomScan, MonteCarloResult,
-                       PredictedStatistics, fit_channel_to_observed,
+from .records import (RecordBatch, TallyCounts, ingest_records,
+                      write_records_csv)
+from .simulate import (ChannelModel, HomScan, fit_channel_to_observed,
                        hom_coincidence_scan, monte_carlo_run,
                        predicted_statistics)
 from .statistics import (BranchDistributions, PulsePairParams,
@@ -27,14 +26,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AxisSpec", "BranchDistributions", "ChannelModel", "ConfigError",
-    "DegenerateSourceError", "GroundTruth", "HomScan", "IngestError",
-    "IngestedStatistics", "KeyRateParams", "KeyRateReport",
-    "MonteCarloResult", "Numerics", "ObservedStatistics",
-    "OptimizationResult", "ParameterError", "PredictedStatistics",
-    "PulsePairParams", "RecordBatch", "RunConfig", "ScanRow",
-    "SearchSpace", "TallyCounts", "ThresholdDetector", "TruncationError",
-    "binary_entropy", "branch_distributions", "branch_mean",
-    "fit_channel_to_observed", "g2", "hom_coincidence_scan",
+    "DegenerateSourceError", "HomScan", "IngestError", "KeyRateParams",
+    "KeyRateReport", "Numerics", "ObservedStatistics", "OptimizationResult",
+    "ParameterError", "PulsePairParams", "RecordBatch", "RunConfig",
+    "ScanRow", "SearchSpace", "TallyCounts", "ThresholdDetector",
+    "TruncationError", "binary_entropy", "branch_distributions",
+    "branch_mean", "fit_channel_to_observed", "g2", "hom_coincidence_scan",
     "ingest_records", "joint_probability_matrix", "key_rate",
     "load_run_config", "monte_carlo_run", "optimize",
     "predicted_statistics", "run_config_from_dict",

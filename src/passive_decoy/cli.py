@@ -3,7 +3,9 @@
 Subcommands: distribution, keyrate, simulate, ingest, optimize, scan.
 
 Exit codes: 0 success (for ``keyrate``: a positive rate), 2 validation
-failure, 3 parse failure, 4 no key (rate is zero), 1 unexpected error.
+failure, 3 parse failure, 4 no key (rate is zero), 1 any other error, such
+as an output path that cannot be written.  Every failure prints one
+``error:`` line to stderr.
 """
 
 from __future__ import annotations
@@ -93,26 +95,49 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ParameterError(f"--pulses must be >= 1 (got {args.pulses})")
 
     batches = []
-    result = monte_carlo_run(config.source, config.alice_detector,
-                             config.channel, args.pulses, seed,
-                             record_sink=batches.append)
+    tallies = monte_carlo_run(config.source, config.alice_detector,
+                              config.channel, args.pulses, seed,
+                              record_sink=batches.append)
+    # Before any file is written: a run with no sifted pulses writes none.
+    stats = tallies.to_observed()
     write_records_csv(args.out, batches)
-    provenance = {**result.tallies.provenance(args.out),
-                  "seed": seed, "pulses": result.n_pulses}
-    _write_text(dump_json(stats_payload(result.stats, provenance)),
-                args.stats_out)
+    provenance = {**tallies.provenance(args.out),
+                  "seed": seed, "pulses": tallies.pulses}
+    _write_text(dump_json(stats_payload(stats, provenance)), args.stats_out)
     return EXIT_OK
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     try:
-        ingested = ingest_records(args.records)
+        tallies = ingest_records(args.records)
     except OSError as exc:
         raise IngestError(f"cannot read records file: {exc}") from None
-    payload = stats_payload(ingested.stats,
-                            ingested.tallies.provenance(ingested.source_path))
+    payload = stats_payload(tallies.to_observed(),
+                            tallies.provenance(args.records))
     _write_text(dump_json(payload), args.out)
     return EXIT_OK
+
+
+def _search_space(config: RunConfig) -> SearchSpace:
+    """The config's search ranges as a SearchSpace; range errors name the
+    ``search.<axis>`` they come from."""
+    s = config.search
+    axes = {}
+    for name in ("mu1", "mu2", "t"):
+        try:
+            axes[name] = AxisSpec(*getattr(s, name))
+        except ParameterError as exc:
+            raise ParameterError(f"search.{name}: {exc}") from None
+    try:
+        return SearchSpace(
+            **axes, channel=config.channel,
+            alice_detector=config.alice_detector,
+            refinement_levels=s.refinement_levels, key_params=config.key_params,
+            overlap=config.source.overlap, n_max=config.numerics.n_max,
+            theta_nodes=config.numerics.theta_nodes,
+            tail_tol=config.numerics.tail_tol)
+    except ParameterError as exc:
+        raise ParameterError(f"search.{exc}") from None
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
@@ -121,15 +146,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         raise ConfigError("optimize requires a channel section in the config")
     if config.search is None:
         raise ConfigError("optimize requires a search section in the config")
-    s = config.search
-    space = SearchSpace(
-        mu1=AxisSpec(*s.mu1), mu2=AxisSpec(*s.mu2), t=AxisSpec(*s.t),
-        channel=config.channel, alice_detector=config.alice_detector,
-        refinement_levels=s.refinement_levels, key_params=config.key_params,
-        overlap=config.source.overlap, n_max=config.numerics.n_max,
-        theta_nodes=config.numerics.theta_nodes,
-        tail_tol=config.numerics.tail_tol)
-    result = optimize(space)
+    result = optimize(_search_space(config))
     if args.format == "json":
         _write_text(dump_json(optimization_payload(result)), args.out)
     else:
@@ -224,9 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except IngestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_UNEXPECTED
 
 
 def entry_point() -> None:

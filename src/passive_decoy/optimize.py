@@ -74,10 +74,14 @@ class SearchSpace:
     def __post_init__(self) -> None:
         if self.refinement_levels < 1:
             raise ParameterError("refinement_levels must be >= 1")
-        if self.mu1.lo < 0.0 or self.mu2.lo < 0.0:
-            raise ParameterError("intensity ranges must be non-negative")
+        for name in ("mu1", "mu2"):
+            axis = getattr(self, name)
+            if axis.lo < 0.0:
+                raise ParameterError(f"{name}: intensity range must be "
+                                     f"non-negative (got [{axis.lo}, {axis.hi}])")
         if self.t.lo < 0.0 or self.t.hi > 1.0:
-            raise ParameterError("t range must lie within [0, 1]")
+            raise ParameterError(f"t: range must lie within [0, 1] "
+                                 f"(got [{self.t.lo}, {self.t.hi}])")
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,9 +5,10 @@ One record per emitted pulse.  Column order is fixed and booleans are 0/1;
 
     pulse_index,alice_click,alice_basis,alice_bit,bob_basis,detected,bob_bit
 
-Aggregation into per-branch gains and error rates lives here so that the
-simulator's in-memory tallies and re-ingested files go through the exact
-same counting and division code, making round trips bit-identical.
+Aggregation into per-branch gains and error rates lives here: the simulator
+and ``ingest_records`` both return ``TallyCounts``, so in-memory runs and
+re-ingested files go through the exact same counting and division code,
+making round trips bit-identical.
 """
 
 from __future__ import annotations
@@ -106,15 +107,6 @@ class TallyCounts:
         e_c = self.err_click / self.det_click if self.det_click else 0.0
         e_nc = self.err_noclick / self.det_noclick if self.det_noclick else 0.0
         return ObservedStatistics(q_c=q_c, e_c=e_c, q_nc=q_nc, e_nc=e_nc)
-
-
-@dataclass(frozen=True)
-class IngestedStatistics:
-    """Aggregated statistics plus where they came from."""
-
-    stats: ObservedStatistics
-    source_path: str
-    tallies: TallyCounts
 
 
 def format_batch_csv(batch: RecordBatch) -> str:
@@ -232,15 +224,13 @@ def iter_batches_from_csv(source) -> Iterator[RecordBatch]:
             fh.close()
 
 
-def ingest_records(source) -> IngestedStatistics:
-    """Aggregate a click-record CSV (path or text file object) into observed
-    statistics."""
+def ingest_records(source) -> TallyCounts:
+    """Count the events of a click-record CSV (path or text file object).
+
+    ``to_observed()`` on the result gives the observed statistics and
+    ``provenance(path)`` the counts behind them.
+    """
     tallies = TallyCounts()
     for batch in iter_batches_from_csv(source):
         tallies.merge(TallyCounts.from_batch(batch))
-    if isinstance(source, (str, bytes)):
-        label = str(source)
-    else:
-        label = getattr(source, "name", "<memory>")
-    return IngestedStatistics(stats=tallies.to_observed(),
-                              source_path=label, tallies=tallies)
+    return tallies

@@ -138,14 +138,7 @@ def optimization_payload(result: OptimizationResult) -> dict:
                        "t": result.best_point[2]},
         "best_rate": result.best_rate,
         "all_zero": result.all_zero,
-        "refinement_history": [
-            {"level": h["level"],
-             "mu1_range": list(h["mu1_range"]),
-             "mu2_range": list(h["mu2_range"]),
-             "t_range": list(h["t_range"]),
-             "best_rate": h["best_rate"],
-             "best_point": list(h["best_point"])}
-            for h in result.refinement_history],
+        "refinement_history": list(result.refinement_history),
         "evaluations": len(result.trace),
     }
 

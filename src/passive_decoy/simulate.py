@@ -6,10 +6,11 @@ kept mode: an n-photon pulse is detected with yield
 per-photon transmission (sender internal loss, fiber, receiver detector
 efficiency) and ``Y0`` the combined background click probability of the
 receiver's detector pair; errors split into background (random, rate 1/2)
-and optical misalignment contributions.  The Monte Carlo path samples the
-same physics pulse by pulse and aggregates with the exact definitions used
-for ingested experimental data, serving as an independent cross-check of
-both the photon statistics and the analytic yields.
+and optical misalignment contributions; ``ChannelModel.yields`` returns
+both.  The Monte Carlo path samples the same physics pulse by pulse and
+returns ``TallyCounts``, the counts ingested experimental data are
+aggregated through, serving as an independent cross-check of both the photon
+statistics and the analytic yields.
 
 Reproducibility: one seed drives a run; pulses are processed in fixed-size
 chunks, each with its own deterministically derived substream, so results
@@ -18,6 +19,7 @@ are identical no matter how chunks are scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -59,8 +61,9 @@ class ChannelModel:
 
     def __post_init__(self) -> None:
         for name in ("fiber_length_km", "alice_internal_loss_db", "fiber_loss_db_per_km"):
-            if not getattr(self, name) >= 0.0:
-                raise ParameterError(f"{name} must be >= 0 (got {getattr(self, name)})")
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0 (got {value})")
         if not 0.0 <= self.misalignment <= 0.5:
             raise ParameterError(
                 f"misalignment must be within [0, 0.5] (got {self.misalignment})")
@@ -82,58 +85,36 @@ class ChannelModel:
         eps = self.bob_detector.epsilon
         return 1.0 - (1.0 - eps) ** 2
 
+    def yields(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """Yield ``Y_n`` and error mass ``e_n * Y_n`` for n = 0..n_max.
 
-@dataclass(frozen=True, slots=True)
-class GroundTruth:
-    """Channel-model yields the bounds are later compared against."""
-
-    y0: float
-    y1: float
-    e1: float
-
-
-@dataclass(frozen=True, slots=True)
-class PredictedStatistics(ObservedStatistics):
-    """Analytic observed statistics with the generating truth attached."""
-
-    truth: GroundTruth = None  # type: ignore[assignment]
-
-
-def _yields(ch: ChannelModel, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    n = np.arange(n_max + 1)
-    y0 = ch.background_yield
-    yields = 1.0 - (1.0 - y0) * (1.0 - ch.transmission) ** n
-    err_mass = BACKGROUND_ERROR_RATE * y0 + ch.misalignment * (yields - y0)
-    return yields, err_mass
+        These are the true values the decoy bounds estimate: ``Y0`` is
+        ``background_yield``, ``Y1`` is ``yields[1]`` and ``e1`` is
+        ``err_mass[1] / yields[1]``.
+        """
+        n = np.arange(n_max + 1)
+        y0 = self.background_yield
+        yields = 1.0 - (1.0 - y0) * (1.0 - self.transmission) ** n
+        err_mass = BACKGROUND_ERROR_RATE * y0 + self.misalignment * (yields - y0)
+        return yields, err_mass
 
 
 def predicted_statistics(dists: BranchDistributions,
-                         ch: ChannelModel) -> PredictedStatistics:
+                         ch: ChannelModel) -> ObservedStatistics:
     """Expected per-branch gains and error rates over the channel model.
 
     The per-branch gain is the yield expansion summed against the branch's
     (unnormalized) photon-number array, so it carries the branch probability
     weight just like the ingested experimental quantities.
     """
-    yields, err_mass = _yields(ch, dists.n_max)
+    yields, err_mass = ch.yields(dists.n_max)
     q_c = float(np.dot(dists.p_click, yields))
     q_nc = float(np.dot(dists.p_noclick, yields))
     em_c = float(np.dot(dists.p_click, err_mass))
     em_nc = float(np.dot(dists.p_noclick, err_mass))
     e_c = em_c / q_c if q_c > 0.0 else 0.0
     e_nc = em_nc / q_nc if q_nc > 0.0 else 0.0
-    y1 = yields[1]
-    e1 = err_mass[1] / y1 if y1 > 0.0 else BACKGROUND_ERROR_RATE
-    truth = GroundTruth(y0=ch.background_yield, y1=y1, e1=e1)
-    return PredictedStatistics(q_c=q_c, e_c=e_c, q_nc=q_nc, e_nc=e_nc, truth=truth)
-
-
-@dataclass(frozen=True)
-class MonteCarloResult:
-    stats: ObservedStatistics
-    tallies: TallyCounts
-    n_pulses: int
-    seed: int
+    return ObservedStatistics(q_c=q_c, e_c=e_c, q_nc=q_nc, e_nc=e_nc)
 
 
 def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
@@ -191,8 +172,11 @@ def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
 def monte_carlo_run(params: PulsePairParams, det: ThresholdDetector,
                     ch: ChannelModel, n_pulses: int, seed: int,
                     record_sink: Callable[[RecordBatch], None] | None = None
-                    ) -> MonteCarloResult:
-    """Sample the link pulse by pulse and aggregate observed statistics.
+                    ) -> TallyCounts:
+    """Sample the link pulse by pulse and count its events.
+
+    ``to_observed()`` on the returned tallies gives the observed statistics,
+    through the same code that aggregates ingested records.
 
     Args:
         record_sink: optional callable receiving each RecordBatch in pulse
@@ -211,8 +195,7 @@ def monte_carlo_run(params: PulsePairParams, det: ThresholdDetector,
         tallies.merge(TallyCounts.from_batch(batch))
         if record_sink is not None:
             record_sink(batch)
-    return MonteCarloResult(stats=tallies.to_observed(), tallies=tallies,
-                            n_pulses=n_pulses, seed=seed)
+    return tallies
 
 
 @dataclass(frozen=True, slots=True)

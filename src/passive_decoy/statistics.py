@@ -135,8 +135,17 @@ class BranchDistributions:
     tail_mass: float
 
 
+def _check_integer(name: str, value: int) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer (got {value!r})")
+
+
 def theta_nodes(count: int) -> np.ndarray:
-    """Midpoint quadrature nodes on [0, 2*pi)."""
+    """Midpoint quadrature nodes on [0, 2*pi).
+
+    Callers take the count as ``nodes``, so errors name it that way.
+    """
+    _check_integer("nodes", count)
     if count < 4:
         raise ParameterError(f"theta node count must be >= 4 (got {count})")
     return 2.0 * np.pi * (np.arange(count) + 0.5) / count
@@ -165,8 +174,7 @@ def _mode_rates(params: PulsePairParams, nodes: int) -> tuple[np.ndarray, np.nda
 
 
 def _validate_count(name: str, value: int) -> None:
-    if not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer (got {value!r})")
+    _check_integer(name, value)
     if value < 0:
         raise ParameterError(f"{name} must be >= 0 (got {value})")
     if value > PHOTON_NUMBER_CAP:
@@ -205,6 +213,7 @@ def branch_distributions(params: PulsePairParams, det: ThresholdDetector,
     Raises:
         TruncationError: if the mass beyond ``n_max`` exceeds ``tail_tol``.
     """
+    _check_integer("n_max", n_max)
     if not 2 <= n_max <= PHOTON_NUMBER_CAP:
         raise ParameterError(
             f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {n_max})")

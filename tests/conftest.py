@@ -39,6 +39,12 @@ def fitted_channel(reference_dists, reference_obs):
     return fit_channel_to_observed(reference_dists, reference_obs)
 
 
+def channel_truth(ch):
+    """The true (Y0, Y1, e1) of a channel: the values the decoy bounds estimate."""
+    yields, err_mass = ch.yields(1)
+    return ch.background_yield, yields[1], err_mass[1] / yields[1]
+
+
 def poisson_vector(mu: float, tail: float = 1e-12, cap: int = 400) -> np.ndarray:
     """Truncated Poisson pmf used as a reference distribution in tests."""
     from scipy.stats import poisson

@@ -20,7 +20,8 @@ from passive_decoy.cli import main as cli_main
 from passive_decoy.optimize import rate_for_point
 from passive_decoy.reports import dump_json, keyrate_report_payload
 
-from conftest import REFERENCE_DETECTOR, REFERENCE_RATE, poisson_vector
+from conftest import (REFERENCE_DETECTOR, REFERENCE_RATE, channel_truth,
+                      poisson_vector)
 from test_bounds import synthetic_sweep_points
 from test_cli import REPO_CONFIG, read_json
 
@@ -134,13 +135,14 @@ def test_criterion_5_monte_carlo_matches_analytic(name):
     start = time.monotonic()
     dists = branch_distributions(params, det)
     pred = predicted_statistics(dists, ch)
-    mc = monte_carlo_run(params, det, ch, 10_000_000, seed=20260810)
+    tallies = monte_carlo_run(params, det, ch, 10_000_000, seed=20260810)
     elapsed = time.monotonic() - start
-    sifted = mc.tallies.sifted
+    mc = tallies.to_observed()
+    sifted = tallies.sifted
     worst = 0.0
-    for got, want in ((mc.stats.q_c, pred.q_c), (mc.stats.q_nc, pred.q_nc),
-                      (mc.stats.e_c * mc.stats.q_c, pred.e_c * pred.q_c),
-                      (mc.stats.e_nc * mc.stats.q_nc, pred.e_nc * pred.q_nc)):
+    for got, want in ((mc.q_c, pred.q_c), (mc.q_nc, pred.q_nc),
+                      (mc.e_c * mc.q_c, pred.e_c * pred.q_c),
+                      (mc.e_nc * mc.q_nc, pred.e_nc * pred.q_nc)):
         se = math.sqrt(want * (1 - want) / sifted)
         worst = max(worst, abs(got - want) / se if se > 0 else abs(got - want))
     report_line(f"5 (monte carlo vs analytic, {name})",
@@ -153,12 +155,12 @@ def test_criterion_5_seed_determinism(reference_params, reference_detector,
     outputs = []
     for run in range(2):
         batches = []
-        result = monte_carlo_run(reference_params, reference_detector, fitted_channel,
-                                 200_000, seed=7, record_sink=batches.append)
+        tallies = monte_carlo_run(reference_params, reference_detector, fitted_channel,
+                                  200_000, seed=7, record_sink=batches.append)
         path = tmp_path / f"run{run}" / "records.csv"
         path.parent.mkdir()
         write_records_csv(str(path), batches)
-        outputs.append((path.read_bytes(), result.stats))
+        outputs.append((path.read_bytes(), tallies.to_observed()))
     ok = outputs[0][0] == outputs[1][0] and outputs[0][1] == outputs[1][1]
     report_line("5 (seed determinism)", ok,
                 f"{len(outputs[0][0])} bytes byte-identical")
@@ -172,19 +174,19 @@ def test_criterion_6_bound_soundness_sweep():
     for src, det, ch in points:
         dists = branch_distributions(src, det)
         pred = predicted_statistics(dists, ch)
-        truth = pred.truth
+        y0, y1, e1 = channel_truth(ch)
         report = key_rate(dists, pred, params)
-        if not (report.y0_lower <= truth.y0 * (1 + 1e-9) + 1e-15
-                and report.y0_upper >= truth.y0 * (1 - 1e-9) - 1e-15):
+        if not (report.y0_lower <= y0 * (1 + 1e-9) + 1e-15
+                and report.y0_upper >= y0 * (1 - 1e-9) - 1e-15):
             violations += 1
             continue
         bad = False
         for bound, arr in ((report.combined_lower_c, dists.p_click),
                            (report.combined_lower_nc, dists.p_noclick)):
-            true_combo = arr[1] * truth.y1 + arr[0] * truth.y0
+            true_combo = arr[1] * y1 + arr[0] * y0
             bad = bad or bound > true_combo * (1 + 1e-9) + 1e-15
         if report.y1_lower > 0.0:
-            bad = bad or report.e1_upper < truth.e1 * (1 - 1e-9) - 1e-15
+            bad = bad or report.e1_upper < e1 * (1 - 1e-9) - 1e-15
         else:
             no_yield += 1
         violations += bad
@@ -248,12 +250,12 @@ def test_criterion_8_round_trip_bit_exact(reference_params, reference_detector,
 
     # In-memory pipeline with the same inputs.
     config_doc = read_json(config_path)
-    result = monte_carlo_run(reference_params, reference_detector, fitted_channel,
-                             pulses, seed)
+    stats = monte_carlo_run(reference_params, reference_detector, fitted_channel,
+                            pulses, seed).to_observed()
     kp = KeyRateParams(**config_doc["key_params"])
     dists = branch_distributions(reference_params, reference_detector)
     in_memory = dump_json(keyrate_report_payload(
-        key_rate(dists, result.stats, kp), result.stats, kp))
+        key_rate(dists, stats, kp), stats, kp))
 
     files_equal = report_a.read_bytes() == report_b.read_bytes()
     memory_equal = report_a.read_text() == in_memory

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 from passive_decoy.cli import (EXIT_NO_KEY, EXIT_OK, EXIT_PARSE,
-                               EXIT_VALIDATION, main)
+                               EXIT_UNEXPECTED, EXIT_VALIDATION, main)
 from passive_decoy.reports import load_schema
 
 from conftest import REFERENCE_RATE
@@ -147,8 +147,17 @@ class TestSimulateAndIngest:
         sim_doc = read_json(stats_path)
         ing_doc = read_json(ingested_path)
         jsonschema.validate(ing_doc, load_schema("observed_stats"))
+        assert ing_doc["provenance"]["source_path"] == str(csv_path)
         for key in ("q_c", "e_c", "q_nc", "e_nc", "q_t", "e_t"):
             assert ing_doc[key] == sim_doc[key]
+
+    def test_no_sifted_pulses_writes_no_records(self, config_path, tmp_path,
+                                                capsys):
+        records = tmp_path / "one.csv"
+        assert run_cli("simulate", "--config", config_path, "--pulses", "1",
+                       "--seed", "3", "--out", str(records)) == EXIT_PARSE
+        assert "no sifted pulses" in capsys.readouterr().err
+        assert not records.exists()
 
     def test_ingest_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "none.csv"
@@ -285,11 +294,19 @@ class TestConfigFiles:
          "mu1 * mu2"),
         (("source",), {"mu1": 0.64, "mu2": 0.08}, ["distribution"], "source.t"),
         (("source", "mu1"), "0.64", ["distribution"], "source.mu1"),
+        ((), None, ["scan", "--lengths", "inf,10"], "fiber_length_km"),
+        (("search", "mu1"), [1.0, 0.5, 3], ["optimize"], "search.mu1"),
+        (("search", "mu2"), [0.05, 0.1, 1], ["optimize"], "search.mu2"),
+        (("search", "mu2"), [-0.1, 0.1, 3], ["optimize"], "search.mu2"),
+        (("search", "t"), [0.5, 1.5, 3], ["optimize"], "search.t"),
     ], ids=["seed_negative", "seed_bool", "seed_flag_negative",
             "search_axis_not_numeric", "n_max_not_integer", "e0_zero",
             "mu1_bool", "eta_d_bool", "misalignment_bool", "q_bool",
             "tail_tol_bool", "f_infinite", "mu1_infinite", "mu1_int_overflow",
-            "mu1_mu2_product_overflow", "source_t_missing", "mu1_string"])
+            "mu1_mu2_product_overflow", "source_t_missing", "mu1_string",
+            "scan_length_infinite", "search_axis_inverted",
+            "search_axis_one_point", "search_intensity_negative",
+            "search_t_beyond_one"])
     def test_bad_field_exits_validation(self, tmp_path, capsys, path, value,
                                         command, field):
         doc = read_json(REPO_CONFIG)
@@ -314,6 +331,17 @@ class TestConfigFiles:
         cfg.write_text(json.dumps(doc))
         assert run_cli("distribution", "--config", str(cfg)) == EXIT_VALIDATION
         assert "sources" in capsys.readouterr().err
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("out", ["missing/dist.json", "."],
+                             ids=["missing_directory", "is_directory"])
+    def test_unwritable_out_is_unexpected_error(self, config_path, tmp_path,
+                                                capsys, out):
+        assert run_cli("distribution", "--config", config_path,
+                       "--out", str(tmp_path / out)) == EXIT_UNEXPECTED
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -3,30 +3,32 @@ import io
 import numpy as np
 import pytest
 
-from passive_decoy import (IngestError, ingest_records, monte_carlo_run,
+from passive_decoy import (IngestError, ThresholdDetector, ingest_records,
+                           monte_carlo_run, records, simulate,
                            write_records_csv)
-from passive_decoy.records import CSV_HEADER, RecordBatch, TallyCounts
+from passive_decoy.records import (CSV_HEADER, RecordBatch, TallyCounts,
+                                   iter_batches_from_csv)
 from test_simulate import make_channel
 
 
 @pytest.fixture(scope="module")
 def small_run(reference_params, reference_detector):
     batches = []
-    result = monte_carlo_run(reference_params, reference_detector, make_channel(),
-                             30_000, seed=11, record_sink=batches.append)
-    return result, batches
+    tallies = monte_carlo_run(reference_params, reference_detector, make_channel(),
+                              30_000, seed=11, record_sink=batches.append)
+    return tallies, batches
 
 
 class TestCsvRoundTrip:
     def test_ingest_reproduces_simulator_aggregation(self, small_run, tmp_path):
-        result, batches = small_run
+        tallies, batches = small_run
         path = tmp_path / "records.csv"
         count = write_records_csv(str(path), batches)
-        assert count == result.n_pulses
+        assert count == tallies.pulses == 30_000
         ingested = ingest_records(str(path))
         # Bit-for-bit: same integer counts, same divisions.
-        assert ingested.stats == result.stats
-        assert ingested.tallies == result.tallies
+        assert ingested.to_observed() == tallies.to_observed()
+        assert ingested == tallies
 
     def test_csv_shape(self, small_run, tmp_path):
         _, batches = small_run
@@ -42,14 +44,40 @@ class TestCsvRoundTrip:
             assert (fields[6] == "") == (fields[5] == "0")
 
     def test_provenance_counts(self, small_run, tmp_path):
-        result, batches = small_run
+        tallies, batches = small_run
         path = tmp_path / "records.csv"
         write_records_csv(str(path), batches)
-        ingested = ingest_records(str(path))
-        prov = ingested.tallies.provenance(ingested.source_path)
-        assert prov["records"] == result.n_pulses
-        assert prov["sifted"] == result.tallies.sifted
+        prov = ingest_records(str(path)).provenance(str(path))
+        assert prov["records"] == 30_000
+        assert prov["sifted"] == tallies.sifted
         assert prov["source_path"] == str(path)
+
+    def test_round_trip_across_chunk_and_parse_batches(
+            self, reference_params, reference_detector, tmp_path, monkeypatch):
+        # Small chunks and parse batches so that 2500 pulses cross both
+        # boundaries, at offsets that do not line up with each other.
+        monkeypatch.setattr(simulate, "_CHUNK_PULSES", 1000)
+        monkeypatch.setattr(records, "_PARSE_BATCH", 700)
+        channel = make_channel(fiber_length_km=0.0, alice_internal_loss_db=0.0,
+                               bob_detector=ThresholdDetector(1e-3, 0.9))
+        files = []
+        for run in range(2):
+            batches = []
+            tallies = monte_carlo_run(reference_params, reference_detector,
+                                      channel, 2500, seed=17,
+                                      record_sink=batches.append)
+            path = tmp_path / f"run{run}.csv"
+            write_records_csv(str(path), batches)
+            files.append(path.read_bytes())
+        assert [len(b) for b in batches] == [1000, 1000, 500]
+        parsed = list(iter_batches_from_csv(str(path)))
+        assert [len(b) for b in parsed] == [700, 700, 700, 400]
+        for sizes in (batches, parsed):
+            index = np.concatenate([b.pulse_index for b in sizes])
+            assert np.array_equal(index, np.arange(2500))
+        assert tallies.det_click > 0 and tallies.det_noclick > 0
+        assert ingest_records(str(path)) == tallies
+        assert files[0] == files[1]
 
 
 def ingest_records_text(text):

@@ -9,6 +9,7 @@ from passive_decoy import (ChannelModel, ObservedStatistics, ParameterError,
                            hom_coincidence_scan, monte_carlo_run,
                            predicted_statistics)
 
+from conftest import channel_truth
 from test_cli import REPO_CONFIG, read_json
 
 
@@ -61,14 +62,14 @@ class TestPredictedStatistics:
         pred = predicted_statistics(dists, ch)
         assert pred.q_c == 0.0 and pred.q_nc == 0.0
 
-    def test_ground_truth_attached(self, reference_dists):
+    def test_ground_truth_from_channel_yields(self):
         ch = make_channel()
-        pred = predicted_statistics(reference_dists, ch)
-        assert pred.truth.y0 == pytest.approx(ch.background_yield, abs=1e-18)
+        y0, y1, e1 = channel_truth(ch)
+        assert y0 == pytest.approx(ch.background_yield, abs=1e-18)
         eta = ch.transmission
-        assert pred.truth.y1 == pytest.approx(
+        assert y1 == pytest.approx(
             1 - (1 - ch.background_yield) * (1 - eta), rel=1e-12)
-        assert 0.0 <= pred.truth.e1 <= 0.5
+        assert 0.0 <= e1 <= 0.5
 
 
 class TestChannelFit:
@@ -109,7 +110,7 @@ class TestMonteCarlo:
                              record_sink=batches_a.append)
         rb = monte_carlo_run(reference_params, reference_detector, ch, 50_000, 7,
                              record_sink=batches_b.append)
-        assert ra.stats == rb.stats
+        assert ra.to_observed() == rb.to_observed()
         for a, b in zip(batches_a, batches_b):
             for name in ("pulse_index", "alice_click", "alice_basis", "alice_bit",
                          "bob_basis", "detected", "bob_bit"):
@@ -119,7 +120,7 @@ class TestMonteCarlo:
         ch = make_channel()
         ra = monte_carlo_run(reference_params, reference_detector, ch, 50_000, 7)
         rb = monte_carlo_run(reference_params, reference_detector, ch, 50_000, 8)
-        assert ra.stats != rb.stats
+        assert ra.to_observed() != rb.to_observed()
 
     def test_rejects_zero_pulses(self, reference_params, reference_detector):
         with pytest.raises(ParameterError):
@@ -130,9 +131,9 @@ class TestMonteCarlo:
         det = ThresholdDetector(0.0, 0.1)
         ch = make_channel(bob_detector=ThresholdDetector(epsilon=0.0, eta_d=0.3))
         batches = []
-        result = monte_carlo_run(params, det, ch, 20_000, 3,
-                                 record_sink=batches.append)
-        assert result.stats.q_c == 0.0 and result.stats.q_nc == 0.0
+        stats = monte_carlo_run(params, det, ch, 20_000, 3,
+                                record_sink=batches.append).to_observed()
+        assert stats.q_c == 0.0 and stats.q_nc == 0.0
         assert all(not batch.detected.any() and not batch.alice_click.any()
                    for batch in batches)
 
@@ -142,13 +143,14 @@ class TestMonteCarlo:
         ch = make_channel(bob_detector=ThresholdDetector(epsilon=2e-6, eta_d=0.01))
         dists = branch_distributions(reference_params, reference_detector)
         pred = predicted_statistics(dists, ch)
-        result = monte_carlo_run(reference_params, reference_detector, ch, 2_000_000, 99)
-        sifted = result.tallies.sifted
+        tallies = monte_carlo_run(reference_params, reference_detector, ch, 2_000_000, 99)
+        mc = tallies.to_observed()
+        sifted = tallies.sifted
         for label, got, want_p in (
-                ("q_c", result.stats.q_c, pred.q_c),
-                ("q_nc", result.stats.q_nc, pred.q_nc),
-                ("eq_c", result.stats.e_c * result.stats.q_c, pred.e_c * pred.q_c),
-                ("eq_nc", result.stats.e_nc * result.stats.q_nc, pred.e_nc * pred.q_nc)):
+                ("q_c", mc.q_c, pred.q_c),
+                ("q_nc", mc.q_nc, pred.q_nc),
+                ("eq_c", mc.e_c * mc.q_c, pred.e_c * pred.q_c),
+                ("eq_nc", mc.e_nc * mc.q_nc, pred.e_nc * pred.q_nc)):
             se = math.sqrt(want_p * (1 - want_p) / sifted)
             assert abs(got - want_p) < 4 * se + 1e-12, label
 

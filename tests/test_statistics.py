@@ -188,6 +188,17 @@ class TestBranchDistributions:
         with pytest.raises(ParameterError):
             branch_distributions(reference_params, reference_detector, n_max=61)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"n_max": 20.5}, "n_max"),
+        ({"n_max": "20"}, "n_max"),
+        ({"nodes": 256.5}, "nodes"),
+        ({"nodes": "256"}, "nodes"),
+    ], ids=["n_max_float", "n_max_string", "nodes_float", "nodes_string"])
+    def test_rejects_non_integer_count(self, reference_params, reference_detector,
+                                       kwargs, field):
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
+            branch_distributions(reference_params, reference_detector, **kwargs)
+
     def test_vacuum_source(self):
         d = branch_distributions(PulsePairParams(0.0, 0.0, 0.5),
                                  ThresholdDetector(0.01, 0.4))
