@@ -19,7 +19,8 @@ from .config import RunConfig, load_run_config
 from .errors import (ConfigError, DegenerateSourceError, IngestError,
                      ParameterError, TruncationError)
 from .optimize import AxisSpec, SearchSpace, optimize, scan_rate_vs_distance
-from .records import ingest_records, write_records_csv
+from .records import (CSV_HEADER, format_batch_csv, ingest_records,
+                      replace_on_success)
 from .reports import (distribution_csv, distribution_report, dump_json,
                       keyrate_report_payload, observed_from_payload,
                       optimization_csv, optimization_payload, scan_csv,
@@ -34,12 +35,17 @@ EXIT_PARSE = 3
 EXIT_NO_KEY = 4
 
 
+def _save_text(text: str, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
 def _write_text(text: str, out_path: str | None) -> None:
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with replace_on_success(out_path) as (temp,):
+            _save_text(text, temp)
 
 
 def _dists_from_config(config: RunConfig):
@@ -94,16 +100,24 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.pulses < 1:
         raise ParameterError(f"--pulses must be >= 1 (got {args.pulses})")
 
-    batches = []
-    tallies = monte_carlo_run(config.source, config.alice_detector,
-                              config.channel, args.pulses, seed,
-                              record_sink=batches.append)
-    # Before any file is written: a run with no sifted pulses writes none.
-    stats = tallies.to_observed()
-    write_records_csv(args.out, batches)
-    provenance = {**tallies.provenance(args.out),
-                  "seed": seed, "pulses": tallies.pulses}
-    _write_text(dump_json(stats_payload(stats, provenance)), args.stats_out)
+    stats_out = None if args.stats_out in (None, "-") else args.stats_out
+    # Both outputs are written to temporary siblings, which replace the
+    # targets only once both are complete: a failed run, including one with
+    # no sifted pulses, writes neither.
+    with replace_on_success(args.out, stats_out) as (records_temp, stats_temp):
+        with open(records_temp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(CSV_HEADER + "\n")
+            tallies = monte_carlo_run(
+                config.source, config.alice_detector, config.channel,
+                args.pulses, seed,
+                record_sink=lambda batch: fh.write(format_batch_csv(batch)))
+        provenance = {**tallies.provenance(args.out),
+                      "seed": seed, "pulses": tallies.pulses}
+        text = dump_json(stats_payload(tallies.to_observed(), provenance))
+        if stats_temp is not None:
+            _save_text(text, stats_temp)
+    if stats_out is None:
+        sys.stdout.write(text)
     return EXIT_OK
 
 

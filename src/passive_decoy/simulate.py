@@ -195,6 +195,7 @@ def monte_carlo_run(params: PulsePairParams, det: ThresholdDetector,
         tallies.merge(TallyCounts.from_batch(batch))
         if record_sink is not None:
             record_sink(batch)
+        del batch  # not held while the next chunk is sampled
     return tallies
 
 

@@ -218,6 +218,7 @@ def branch_distributions(params: PulsePairParams, det: ThresholdDetector,
         raise ParameterError(
             f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {n_max})")
     if params.nu <= 0.0:
+        theta_nodes(nodes)  # no phase integral, but the count is still checked
         p_total = np.zeros(n_max + 1)
         p_total[0] = 1.0
         p_noclick = (1.0 - det.epsilon) * p_total

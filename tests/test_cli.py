@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -158,6 +159,72 @@ class TestSimulateAndIngest:
                        "--seed", "3", "--out", str(records)) == EXIT_PARSE
         assert "no sifted pulses" in capsys.readouterr().err
         assert not records.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_unwritable_stats_out_leaves_no_records(self, config_path, tmp_path,
+                                                    capsys):
+        records = tmp_path / "r.csv"
+        assert run_cli("simulate", "--config", config_path, "--pulses", "2000",
+                       "--seed", "3", "--out", str(records), "--stats-out",
+                       str(tmp_path / "nodir" / "s.json")) == EXIT_UNEXPECTED
+        err = capsys.readouterr().err
+        assert "No such file or directory" in err and "nodir" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_failed_chunk_leaves_no_output(self, config_path, tmp_path,
+                                           monkeypatch, capsys):
+        # Three chunks; the second fails after the first was written out.
+        from passive_decoy import simulate
+        monkeypatch.setattr(simulate, "_CHUNK_PULSES", 1000)
+        real_chunk = simulate._simulate_chunk
+
+        def failing_chunk(*args):
+            if args[3] > 0:
+                raise RuntimeError("chunk failed")
+            return real_chunk(*args)
+
+        monkeypatch.setattr(simulate, "_simulate_chunk", failing_chunk)
+        assert run_cli("simulate", "--config", config_path, "--pulses", "2500",
+                       "--seed", "3", "--out", str(tmp_path / "r.csv"),
+                       "--stats-out", str(tmp_path / "s.json")) == EXIT_UNEXPECTED
+        assert "chunk failed" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_killed_run_leaves_no_partial_records(self, config_path, tmp_path):
+        # Killed once the first chunk is on disk, long before the run ends.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        records = tmp_path / "r.csv"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "passive_decoy.cli", "simulate", "--config",
+             config_path, "--pulses", "50000000", "--seed", "3", "--out",
+             str(records)], env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60.0
+            written = []
+            while not written and time.monotonic() < deadline:
+                time.sleep(0.02)
+                written = [p for p in tmp_path.glob(".r.csv.*.tmp")
+                           if p.stat().st_size > 0]
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+        assert written, "no records were written within 60 s"
+        assert not records.exists()
+
+    def test_outputs_replace_existing_files(self, config_path, tmp_path):
+        records, stats = tmp_path / "r.csv", tmp_path / "s.json"
+        records.write_text("old")
+        stats.write_text("old")
+        assert run_cli("simulate", "--config", config_path, "--pulses", "2000",
+                       "--seed", "3", "--out", str(records),
+                       "--stats-out", str(stats)) == EXIT_OK
+        assert records.read_text().startswith("pulse_index,")
+        assert read_json(stats)["provenance"]["source_path"] == str(records)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "r.csv", "s.json"]
 
     def test_ingest_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "none.csv"
@@ -174,6 +241,16 @@ class TestSimulateAndIngest:
                         "1,0,0,0,0,0,1\n")
         assert run_cli("ingest", str(path)) == EXIT_PARSE
         assert "record 2" in capsys.readouterr().err
+
+    def test_ingest_byte_not_utf8_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"pulse_index,alice_click,alice_basis,alice_bit,"
+                         b"bob_basis,detected,bob_bit\n"
+                         b"0,0,0,0,0,0,\n"
+                         b"1,0,0,\xff,0,0,\n")
+        assert run_cli("ingest", str(path)) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "error: record 2: byte 0xff is not valid UTF-8\n")
 
     def test_round_trip_keyrate_is_bit_exact(self, config_path, tmp_path):
         csv_path, stats_path = tmp_path / "r.csv", tmp_path / "s.json"
@@ -342,6 +419,8 @@ class TestOutputPaths:
                        "--out", str(tmp_path / out)) == EXIT_UNEXPECTED
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+        assert repr(str(tmp_path / out)) in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

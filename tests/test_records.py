@@ -2,13 +2,38 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passive_decoy import (IngestError, ThresholdDetector, ingest_records,
                            monte_carlo_run, records, simulate,
                            write_records_csv)
-from passive_decoy.records import (CSV_HEADER, RecordBatch, TallyCounts,
+from passive_decoy.records import (CSV_COLUMNS, CSV_HEADER, RecordBatch,
+                                   TallyCounts, format_batch_csv,
                                    iter_batches_from_csv)
 from test_simulate import make_channel
+
+INT64 = np.iinfo(np.int64)
+
+
+def reference_format(batch):
+    """The record formatter as one f-string per record: the oracle that
+    ``format_batch_csv`` must match byte for byte."""
+    det = batch.detected.astype(bool)
+    out = []
+    for i in range(len(batch)):
+        bob = str(int(batch.bob_bit[i])) if det[i] else ""
+        out.append(f"{int(batch.pulse_index[i])},{int(batch.alice_click[i])},"
+                   f"{int(batch.alice_basis[i])},{int(batch.alice_bit[i])},"
+                   f"{int(batch.bob_basis[i])},{int(det[i])},{bob}")
+    return "\n".join(out) + ("\n" if out else "")
+
+
+def random_batch(rng, pulse_index):
+    n = len(pulse_index)
+    flags = [rng.integers(0, 2, n, dtype=np.int8) for _ in range(5)]
+    bob = np.where(flags[4] == 1, rng.integers(0, 2, n), -1).astype(np.int8)
+    return RecordBatch(np.asarray(pulse_index, dtype=np.int64), *flags, bob)
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +77,17 @@ class TestCsvRoundTrip:
         assert prov["sifted"] == tallies.sifted
         assert prov["source_path"] == str(path)
 
+    def test_parsed_columns_are_owned_writable_arrays(self, small_run, tmp_path):
+        _, batches = small_run
+        path = tmp_path / "records.csv"
+        write_records_csv(str(path), batches)
+        for batch in iter_batches_from_csv(str(path)):
+            for name in CSV_COLUMNS:
+                column = getattr(batch, name)
+                assert column.dtype == (np.int64 if name == "pulse_index"
+                                        else np.int8)
+                assert column.flags.writeable and column.flags.owndata
+
     def test_round_trip_across_chunk_and_parse_batches(
             self, reference_params, reference_detector, tmp_path, monkeypatch):
         # Small chunks and parse batches so that 2500 pulses cross both
@@ -80,35 +116,73 @@ class TestCsvRoundTrip:
         assert files[0] == files[1]
 
 
-def ingest_records_text(text):
-    return ingest_records(io.StringIO(text))
+class TestFormatOracle:
+    def test_random_batches(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 17, 3000):
+            batch = random_batch(rng, rng.integers(0, 10 ** 7, n))
+            assert format_batch_csv(batch) == reference_format(batch)
+        batch = random_batch(rng, rng.integers(INT64.min, INT64.max, 3000,
+                                               endpoint=True))
+        assert format_batch_csv(batch) == reference_format(batch)
+
+    def test_consecutive_indices(self):
+        batch = random_batch(np.random.default_rng(5), np.arange(98, 100_012))
+        assert format_batch_csv(batch) == reference_format(batch)
+
+    @pytest.mark.parametrize("index", [
+        0, 9, 10, 10 ** 18 - 1, 10 ** 18, INT64.max, -5, INT64.min])
+    def test_edge_indices(self, index):
+        rng = np.random.default_rng(index % 97)
+        for pulse_index in ([index], [index, 0, 7], [3, index]):
+            batch = random_batch(rng, pulse_index)
+            assert format_batch_csv(batch) == reference_format(batch)
+
+    def test_empty_batch(self):
+        batch = random_batch(np.random.default_rng(0), [])
+        assert format_batch_csv(batch) == reference_format(batch) == ""
+
+    @pytest.mark.parametrize("column,value", [
+        ("alice_click", 2), ("detected", -1), ("bob_bit", 3)])
+    def test_rejects_value_outside_domain(self, column, value):
+        batch = random_batch(np.random.default_rng(1), [0, 1])
+        batch.detected[:] = 1
+        batch.bob_bit[:] = 0
+        getattr(batch, column)[1] = value
+        with pytest.raises(ValueError, match=column):
+            format_batch_csv(batch)
 
 
 class TestIngestValidation:
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
+    """Each case reads its records from a text object; the subclass below
+    reads the same text from a file."""
+
+    @pytest.fixture()
+    def ingest(self):
+        return lambda text: ingest_records(io.StringIO(text))
+
+    def test_empty_file(self, ingest):
         with pytest.raises(IngestError, match="header"):
-            ingest_records(str(path))
+            ingest("")
 
-    def test_header_only_means_no_records(self):
+    def test_header_only_means_no_records(self, ingest):
         with pytest.raises(IngestError, match="no records"):
-            ingest_records_text(CSV_HEADER + "\n")
+            ingest(CSV_HEADER + "\n")
 
-    def test_bob_bit_without_detection_names_record(self):
+    def test_bob_bit_without_detection_names_record(self, ingest):
         text = CSV_HEADER + "\n0,0,0,0,0,1,1\n1,0,0,0,0,0,1\n"
         with pytest.raises(IngestError, match="record 2"):
-            ingest_records_text(text)
+            ingest(text)
 
-    def test_detected_without_bob_bit_names_record(self):
+    def test_detected_without_bob_bit_names_record(self, ingest):
         text = CSV_HEADER + "\n0,0,0,0,0,1,\n"
         with pytest.raises(IngestError, match="record 1"):
-            ingest_records_text(text)
+            ingest(text)
 
-    def test_non_integer_field(self):
+    def test_non_integer_field(self, ingest):
         text = CSV_HEADER + "\n0,0,x,0,0,0,\n"
         with pytest.raises(IngestError, match="alice_basis"):
-            ingest_records_text(text)
+            ingest(text)
 
     @pytest.mark.parametrize("record,field", [
         ("0,0,0,3,0,0,", "alice_bit"),
@@ -116,18 +190,179 @@ class TestIngestValidation:
         ("0,0,0,0,0,1,5", "bob_bit"),
         ("99999999999999999999,0,0,0,0,0,", "pulse_index"),
     ], ids=["alice_bit", "alice_basis", "bob_bit", "pulse_index"])
-    def test_out_of_domain_field(self, record, field):
+    def test_out_of_domain_field(self, ingest, record, field):
         with pytest.raises(IngestError, match=f"record 1: field '{field}'"):
-            ingest_records_text(CSV_HEADER + "\n" + record + "\n")
+            ingest(CSV_HEADER + "\n" + record + "\n")
 
-    def test_wrong_column_count(self):
+    def test_wrong_column_count(self, ingest):
         text = CSV_HEADER + "\n0,0,0,0,0,0\n"
         with pytest.raises(IngestError, match="expected 7 fields"):
-            ingest_records_text(text)
+            ingest(text)
 
-    def test_bad_header(self):
+    def test_bad_header(self, ingest):
         with pytest.raises(IngestError, match="bad header"):
-            ingest_records_text("a,b,c\n0,0,0\n")
+            ingest("a,b,c\n0,0,0\n")
+
+
+class TestIngestValidationFromPath(TestIngestValidation):
+    @pytest.fixture()
+    def ingest(self, tmp_path):
+        def run(text):
+            path = tmp_path / "records.csv"
+            path.write_bytes(text.encode("utf-8"))
+            return ingest_records(str(path))
+        return run
+
+
+# Header plus record 1, then record 2 with a byte that is not UTF-8.
+NOT_UTF8 = (CSV_HEADER.encode() + b"\n0,0,0,0,0,0,\n1,0,0,\xff,0,0,\n")
+
+
+class TestNotUtf8:
+    @pytest.fixture(params=["path", "text"])
+    def ingest(self, request, tmp_path):
+        def run(data):
+            if request.param == "text":
+                return ingest_records(io.TextIOWrapper(io.BytesIO(data),
+                                                       encoding="utf-8"))
+            path = tmp_path / "records.csv"
+            path.write_bytes(data)
+            return ingest_records(str(path))
+        return run
+
+    def test_names_the_record(self, ingest):
+        with pytest.raises(IngestError,
+                           match="^record 2: byte 0xff is not valid UTF-8$"):
+            ingest(NOT_UTF8)
+
+    def test_in_header(self, ingest):
+        with pytest.raises(IngestError, match="^bad header: .*xff"):
+            ingest(b"pulse_index\xff" + NOT_UTF8[len("pulse_index"):])
+
+    def test_past_the_text_decoder_first_chunk(self, ingest):
+        # 2000 records, about 26 kB: a text object's decoder reads the bad
+        # byte chunks after the lines before it were handed out.
+        body = b"".join(b"%d,0,0,0,0,0,\n" % i for i in range(2000))
+        with pytest.raises(IngestError, match="^record 2001: byte 0x80 "):
+            ingest(CSV_HEADER.encode() + b"\n" + body + b"2000,0,0,\x80,0,0,\n")
+
+    def test_earlier_malformed_record_wins(self, ingest):
+        data = NOT_UTF8.replace(b"\n0,0,0,0,0,0,", b"\n0,0,0,0,0,1,")
+        with pytest.raises(IngestError, match="^record 1: detected record"):
+            ingest(data)
+
+
+# Edits that turn a canonical record line into one the bulk parser rejects.
+# Some are accepted by the per-line parser (" 1", "+0", "007", "-5", "00",
+# blank lines, CRLF endings, digits outside ASCII), the others are errors.
+MUTATIONS = ("space", "plus", "leading_zeros", "negative", "blank_line", "crlf",
+             "flag_2", "flag_x", "wide_flag", "drop_comma", "extra_comma",
+             "toggle_bob",
+             "index_19", "index_20", "non_ascii", "non_utf8")
+
+
+def mutate(line, kind, draw):
+    body = line.rstrip(b"\r\n")
+    ending = line[len(body):]
+    fields = body.split(b",")
+    field = draw(st.integers(0, len(fields) - 1))
+    if kind == "space":
+        fields[field] = b" " + fields[field]
+    elif kind == "plus":
+        fields[field] = b"+" + fields[field]
+    elif kind == "leading_zeros":
+        fields[0] = b"00" + fields[0]
+    elif kind == "negative":
+        fields[0] = b"-" + fields[0]
+    elif kind in ("flag_2", "flag_x"):
+        fields[max(field, 1)] = kind[-1:].encode()
+    elif kind == "wide_flag":
+        fields[max(field, 1)] = draw(st.sampled_from([b"00", b"01", b"10"]))
+    elif kind == "toggle_bob":
+        fields[-1] = b"" if fields[-1] else b"1"
+    elif kind == "index_19":
+        fields[0] = b"%d" % draw(st.integers(10 ** 18, 10 ** 19 - 1))
+    elif kind == "index_20":
+        fields[0] = draw(st.sampled_from([b"0", b"1"])) + b"%019d" % draw(
+            st.integers(0, 10 ** 19 - 1))
+    elif kind == "non_ascii":
+        fields[field] = draw(st.sampled_from(["\u0661", "\uff10", "\u00e9"])).encode()
+    elif kind == "non_utf8":
+        fields[field] += draw(st.sampled_from([b"\xff", b"\x80", b"\xc3"]))
+    body = b",".join(fields)
+    if kind in ("drop_comma", "extra_comma"):
+        cut = draw(st.integers(0, len(body)))
+        body = (body[:cut] + b"," + body[cut:] if kind == "extra_comma"
+                else body[:cut] + body[cut:].replace(b",", b"", 1))
+    if kind == "blank_line":
+        ending += draw(st.sampled_from([b"\n", b"\r\n"]))
+    elif kind == "crlf":
+        ending = b"\r\n"
+    return body + ending
+
+
+@st.composite
+def mutated_csv(draw):
+    n = draw(st.integers(1, 25))
+    start = draw(st.sampled_from([0, 5, 999_990]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    text = reference_format(random_batch(rng, np.arange(start, start + n)))
+    lines = text.encode().splitlines(keepends=True)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n - 1))
+        lines[i] = mutate(lines[i], draw(st.sampled_from(MUTATIONS)), draw)
+    body = b"".join(lines)
+    if draw(st.booleans()):
+        body = body.rstrip(b"\r\n")
+    return CSV_HEADER.encode() + b"\n" + body
+
+
+def parse_outcome(parse):
+    """The concatenated columns of a parse, or its error message."""
+    try:
+        batches = list(parse())
+    except IngestError as exc:
+        return str(exc)
+    return {name: np.concatenate([getattr(b, name) for b in batches])
+            for name in CSV_COLUMNS}
+
+
+def parse_per_line(data):
+    """The per-line parser over every record line of ``data``."""
+    _, _, body = data.partition(b"\n")
+    batches = list(records._parse_lines(records._split_lines(body), 0,
+                                        escaped=True))
+    if not batches:
+        raise IngestError("no records in file")
+    return batches
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for name in CSV_COLUMNS:
+        assert got[name].dtype == want[name].dtype, name
+        assert np.array_equal(got[name], want[name]), name
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=mutated_csv())
+def test_bulk_parser_matches_per_line_parser(data, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        # Blocks of 7 lines: most files mix bulk-parsed and rejected blocks.
+        mp.setattr(records, "_PARSE_BATCH", 7)
+        want = parse_outcome(lambda: parse_per_line(data))
+        got = parse_outcome(lambda: iter_batches_from_csv(str(path)))
+        assert_same_outcome(got, want)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return
+        from_text = parse_outcome(lambda: iter_batches_from_csv(io.StringIO(text)))
+        assert_same_outcome(from_text, got)
 
 
 class TestTallies:

@@ -188,16 +188,21 @@ class TestBranchDistributions:
         with pytest.raises(ParameterError):
             branch_distributions(reference_params, reference_detector, n_max=61)
 
-    @pytest.mark.parametrize("kwargs,field", [
-        ({"n_max": 20.5}, "n_max"),
-        ({"n_max": "20"}, "n_max"),
-        ({"nodes": 256.5}, "nodes"),
-        ({"nodes": "256"}, "nodes"),
-    ], ids=["n_max_float", "n_max_string", "nodes_float", "nodes_string"])
+    @pytest.mark.parametrize("kwargs,field,vacuum", [
+        ({"n_max": 20.5}, "n_max", False),
+        ({"n_max": "20"}, "n_max", False),
+        ({"nodes": 256.5}, "nodes", False),
+        ({"nodes": "256"}, "nodes", False),
+        ({"nodes": 256.5}, "nodes", True),
+    ], ids=["n_max_float", "n_max_string", "nodes_float", "nodes_string",
+            "nodes_float_vacuum"])
     def test_rejects_non_integer_count(self, reference_params, reference_detector,
-                                       kwargs, field):
+                                       kwargs, field, vacuum):
+        # A vacuum source (mu1 = mu2 = 0) takes no phase integral, but its
+        # node count is checked all the same.
+        params = PulsePairParams(0.0, 0.0, 0.5) if vacuum else reference_params
         with pytest.raises(ParameterError, match=f"^{field} must be an integer"):
-            branch_distributions(reference_params, reference_detector, **kwargs)
+            branch_distributions(params, reference_detector, **kwargs)
 
     def test_vacuum_source(self):
         d = branch_distributions(PulsePairParams(0.0, 0.0, 0.5),
