@@ -101,9 +101,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ParameterError(f"--pulses must be >= 1 (got {args.pulses})")
 
     stats_out = None if args.stats_out in (None, "-") else args.stats_out
-    # Both outputs are written to temporary siblings, which replace the
+    # File outputs are written to temporary siblings, which replace the
     # targets only once both are complete: a failed run, including one with
-    # no sifted pulses, writes neither.
+    # no sifted pulses, writes neither (devices and FIFOs are written as
+    # they go).
     with replace_on_success(args.out, stats_out) as (records_temp, stats_temp):
         with open(records_temp, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")

@@ -32,6 +32,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import stat
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -141,16 +142,19 @@ class TallyCounts:
 
 @contextlib.contextmanager
 def replace_on_success(*paths: str | None) -> Iterator[list]:
-    """Temporary siblings of ``paths`` that replace them after the block.
+    """Paths to write ``paths`` through, replacing them only after the block.
 
-    Yields one path per target (``None`` stays ``None``), each an empty file
-    created beside its target so that ``os.replace`` stays on one
-    filesystem.  When the block returns, every temporary file replaces its
-    target; when it raises, every temporary file is removed and no target
-    is touched.  A process killed midway can leave a temporary sibling
-    behind, never a partial target.
+    Yields one path per target (``None`` stays ``None``).  A target that is
+    a regular file or does not exist, after following symlinks, gets a
+    temporary sibling: an empty file beside it, so that ``os.replace`` stays
+    on one filesystem, with the target's permission bits if it exists.
+    When the block returns, every temporary file replaces its target; when
+    it raises, every temporary file is removed and no such target is
+    touched.  A process killed midway can leave a temporary sibling behind,
+    never a partial target.  Any other target (a device such as
+    ``/dev/null``, a FIFO) is yielded as it is and written directly.
     """
-    temps = []
+    temps, renames = [], []
     try:
         for i, path in enumerate(paths):
             if path is None:
@@ -160,22 +164,27 @@ def replace_on_success(*paths: str | None) -> Iterator[list]:
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
                                         path)
-            head, tail = os.path.split(path)
+            target = os.path.realpath(path)
+            if os.path.exists(target) and not os.path.isfile(target):
+                temps.append(path)
+                continue
+            head, tail = os.path.split(target)
             temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
             try:
                 open(temp, "wb").close()
+                renames.append((temp, target))
+                if os.path.exists(target):
+                    os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror, path) from None
             temps.append(temp)
         yield temps
-        for temp, path in zip(temps, paths):
-            if temp is not None:
-                os.replace(temp, path)
+        for temp, target in renames:
+            os.replace(temp, target)
     except BaseException:
-        for temp in temps:
-            if temp is not None:
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(temp)
+        for temp, _ in renames:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
         raise
 
 
@@ -215,8 +224,6 @@ def _format_rows(index: np.ndarray, flags: np.ndarray, bob: np.ndarray) -> str:
     mag = np.where(neg, -index.view(np.uint64), index.view(np.uint64))
     width = np.searchsorted(_TENS, mag, side="right") + 1 + neg
     digits = int(width.max())
-    if digits <= 9:
-        mag = mag.astype(np.uint32)  # divides several times faster
 
     rows = np.empty((n, digits + 13), dtype=np.uint8)
     for col in range(digits - 1, -1, -1):
@@ -286,14 +293,13 @@ def _parse_block(block: np.ndarray) -> RecordBatch | None:
     if bob.max() > 1:
         return None
 
-    width = int(digits.max())
-    dtype = np.uint32 if width <= 9 else np.uint64
-    index = np.zeros(n, dtype=dtype)
+    # Up to 19 digits fit in uint64 without wrapping.
+    index = np.zeros(n, dtype=np.uint64)
     last = commas[:, 0] - 1
-    for k in range(width):
-        value = block[np.maximum(last - k, 0)] - ord("0")
+    for k in range(int(digits.max())):
+        value = (block[np.maximum(last - k, 0)] - ord("0")).astype(np.uint64)
         value[digits <= k] = 0
-        index += value * dtype(10 ** k)
+        index += value * np.uint64(10 ** k)
     if index.max() > _INT64_MAX:
         return None
     flags = flags.astype(np.int8)
@@ -480,6 +486,10 @@ def _decode_error(exc: UnicodeDecodeError, record_no: int,
     otherwise a record, even when its part in ``exc.object`` is empty.  The
     whole lines after it are parsed first, so that a malformed record before
     the byte is the one reported, as it is for a path.
+
+    The text of the line in progress is lost with the decoder's error, so a
+    blank line that starts exactly where the decoder stopped is counted as
+    that record's end, and the record number comes out one too high.
     """
     raw = exc.object if isinstance(exc.object, bytes) else b""
     byte = raw[exc.start] if exc.start < len(raw) else 0
@@ -529,8 +539,9 @@ def iter_batches_from_csv(source) -> Iterator[RecordBatch]:
 
     A path is read as bytes: lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in
     text mode, and a byte that is not UTF-8 is an error naming its record.
-    A text object is read through its own line iteration.  Canonical files
-    come out in batches of exactly ``_PARSE_BATCH`` records.
+    A text object is read through its own line iteration; when its decoder
+    fails, the record number can be one too high (see ``_decode_error``).
+    Canonical files come out in batches of exactly ``_PARSE_BATCH`` records.
 
     Raises:
         IngestError: on a bad header or any malformed record; messages carry

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -218,13 +219,49 @@ class TestSimulateAndIngest:
         records, stats = tmp_path / "r.csv", tmp_path / "s.json"
         records.write_text("old")
         stats.write_text("old")
+        records.chmod(0o640)
         assert run_cli("simulate", "--config", config_path, "--pulses", "2000",
                        "--seed", "3", "--out", str(records),
                        "--stats-out", str(stats)) == EXIT_OK
         assert records.read_text().startswith("pulse_index,")
+        assert stat.S_IMODE(records.stat().st_mode) == 0o640
         assert read_json(stats)["provenance"]["source_path"] == str(records)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "r.csv", "s.json"]
+
+    def test_symlinked_out_replaces_the_file_it_points_to(self, config_path,
+                                                          tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old")
+        link.symlink_to(real)
+        argv = ["simulate", "--config", config_path, "--seed", "3",
+                "--out", str(link), "--stats-out", str(tmp_path / "s.json")]
+        assert run_cli(*argv, "--pulses", "1") == EXIT_PARSE
+        assert real.read_text() == "old"
+        assert run_cli(*argv, "--pulses", "2000") == EXIT_OK
+        assert link.is_symlink() and link.resolve() == real.resolve()
+        assert real.read_text().startswith("pulse_index,")
+        assert read_json(tmp_path / "s.json")["provenance"]["source_path"] == str(link)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "link.csv", "real.csv", "s.json"]
+
+    def test_fifo_out_is_written_directly(self, config_path, tmp_path):
+        # 2000 records fit in the pipe's buffer, so nothing has to drain it
+        # while the run writes.
+        fifo = tmp_path / "r.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run_cli("simulate", "--config", config_path, "--pulses",
+                           "2000", "--seed", "3", "--out", str(fifo),
+                           "--stats-out", str(tmp_path / "s.json")) == EXIT_OK
+            data = os.read(reader, 1 << 20)
+        finally:
+            os.close(reader)
+        assert data.startswith(b"pulse_index,") and data.count(b"\n") == 2001
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json", "r.fifo", "s.json"]
 
     def test_ingest_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "none.csv"

@@ -153,6 +153,26 @@ class TestFormatOracle:
             format_batch_csv(batch)
 
 
+class TestBulkIndexParse:
+    @pytest.mark.parametrize("pulse_index", [
+        np.arange(1100), [399, 999, 10 ** 9, 10 ** 18 - 1, 10 ** 18, INT64.max]],
+        ids=["consecutive", "wide"])
+    def test_reads_every_digit(self, pulse_index):
+        batch = random_batch(np.random.default_rng(3), pulse_index)
+        block = np.frombuffer(reference_format(batch).encode(), dtype=np.uint8)
+        parsed = records._parse_block(block)
+        assert parsed is not None
+        assert np.array_equal(parsed.pulse_index, batch.pulse_index)
+
+    @pytest.mark.parametrize("index", [INT64.max + 1, 10 ** 19 - 1])
+    def test_leaves_index_beyond_int64_to_per_line_parser(self, index):
+        line = "%d,0,0,0,0,0,\n" % index
+        block = np.frombuffer(line.encode(), dtype=np.uint8)
+        assert records._parse_block(block) is None
+        with pytest.raises(IngestError, match=f"^record 1: .* range \\(got {index}\\)$"):
+            ingest_records(io.StringIO(CSV_HEADER + "\n" + line))
+
+
 class TestIngestValidation:
     """Each case reads its records from a text object; the subclass below
     reads the same text from a file."""
@@ -228,6 +248,7 @@ class TestNotUtf8:
             path = tmp_path / "records.csv"
             path.write_bytes(data)
             return ingest_records(str(path))
+        run.source = request.param
         return run
 
     def test_names_the_record(self, ingest):
@@ -245,6 +266,29 @@ class TestNotUtf8:
         body = b"".join(b"%d,0,0,0,0,0,\n" % i for i in range(2000))
         with pytest.raises(IngestError, match="^record 2001: byte 0x80 "):
             ingest(CSV_HEADER.encode() + b"\n" + body + b"2000,0,0,\x80,0,0,\n")
+
+    @pytest.mark.parametrize("blank", [False, True],
+                             ids=["record_end", "blank_line"])
+    def test_line_end_at_text_decoder_chunk_boundary(self, ingest, blank):
+        # The text decoder's second read starts with "\n": the end of a
+        # record split across its reads, or a blank line after a record.
+        chunk = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE
+        data = CSV_HEADER.encode() + b"\n"
+        i = 0
+        while len(data) + 40 < chunk:
+            data += b"%d,0,0,0,0,0,\n" % i
+            i += 1
+        tail = b",0,0,0,0,0,\n" if blank else b",0,0,0,0,0,"
+        data += b"%0*d" % (chunk - len(data) - len(tail), i) + tail
+        assert len(data) == chunk
+        data += b"\n%d,0,0,\x80,0,0,\n" % (i + 1)
+        bad = i + 2
+        # The text decoder loses the line in progress with its error, so a
+        # blank line there is counted as a record's end (see _decode_error).
+        if blank and ingest.source == "text":
+            bad += 1
+        with pytest.raises(IngestError, match=f"^record {bad}: byte 0x80 "):
+            ingest(data)
 
     def test_earlier_malformed_record_wins(self, ingest):
         data = NOT_UTF8.replace(b"\n0,0,0,0,0,0,", b"\n0,0,0,0,0,1,")
