@@ -19,8 +19,7 @@ from .simulate import (ChannelModel, HomScan, fit_channel_to_observed,
                        hom_coincidence_scan, monte_carlo_run,
                        predicted_statistics)
 from .statistics import (BranchDistributions, PulsePairParams,
-                         ThresholdDetector, branch_distributions, branch_mean,
-                         g2, joint_probability_matrix)
+                         ThresholdDetector, branch_distributions, branch_mean, g2)
 
 __version__ = "0.1.0"
 
@@ -32,8 +31,7 @@ __all__ = [
     "ScanRow", "SearchSpace", "TallyCounts", "ThresholdDetector",
     "TruncationError", "binary_entropy", "branch_distributions",
     "branch_mean", "fit_channel_to_observed", "g2", "hom_coincidence_scan",
-    "ingest_records", "joint_probability_matrix", "key_rate",
-    "load_run_config", "monte_carlo_run", "optimize",
-    "predicted_statistics", "run_config_from_dict",
+    "ingest_records", "key_rate", "load_run_config", "monte_carlo_run",
+    "optimize", "predicted_statistics", "run_config_from_dict",
     "scan_rate_vs_distance", "write_records_csv",
 ]

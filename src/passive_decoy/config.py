@@ -22,7 +22,8 @@ from .bounds import KeyRateParams
 from .errors import ConfigError, IngestError, ParameterError
 from .simulate import ChannelModel
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
-                         PHOTON_NUMBER_CAP, PulsePairParams, ThresholdDetector)
+                         MAX_THETA_NODES, PHOTON_NUMBER_CAP, PulsePairParams,
+                         ThresholdDetector)
 
 
 @dataclass(frozen=True, slots=True)
@@ -37,6 +38,9 @@ class Numerics:
                 f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {self.n_max})")
         if self.theta_nodes < 4:
             raise ParameterError(f"theta_nodes must be >= 4 (got {self.theta_nodes})")
+        if self.theta_nodes > MAX_THETA_NODES:
+            raise ParameterError(
+                f"theta_nodes must be <= {MAX_THETA_NODES} (got {self.theta_nodes})")
         if not self.tail_tol > 0.0:
             raise ParameterError(f"tail_tol must be > 0 (got {self.tail_tol})")
 

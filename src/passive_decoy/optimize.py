@@ -15,9 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import KeyRateParams, key_rate
+from .bounds import KeyRateParams, key_rate, key_rate_rows
 from .errors import DegenerateSourceError, ParameterError
-from .simulate import ChannelModel, predicted_statistics
+from .simulate import (ChannelModel, predicted_statistics,
+                       predicted_statistics_over_lengths)
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
                          BranchDistributions, PulsePairParams,
                          ThresholdDetector, branch_distributions)
@@ -210,7 +211,17 @@ def scan_rate_vs_distance(point: tuple[float, float, float],
                           *, overlap: float = 1.0, n_max: int = DEFAULT_N_MAX,
                           theta_nodes: int = DEFAULT_THETA_NODES,
                           tail_tol: float = DEFAULT_TAIL_TOL) -> list[ScanRow]:
-    """Key rate of a fixed source point across fiber lengths (sorted rows)."""
+    """Key rate of a fixed source point across fiber lengths (sorted rows).
+
+    The distributions are computed once and the lengths go through the
+    forward model and the bound chain as arrays.  Each row's rate has the
+    bits that ``key_rate`` on ``predicted_statistics`` at that one length
+    gives, so a row does not depend on which other lengths are scanned.  A
+    degenerate source scores zero at every length.  Errors are raised in the
+    order a length-by-length evaluation meets them: from the first length
+    that ``ChannelModel`` or the ``ObservedStatistics`` range checks reject,
+    the lengths are evaluated one at a time, which raises that length's error.
+    """
     if len(lengths) == 0:
         raise ParameterError("lengths must be non-empty")
     if any(length < 0.0 for length in lengths):
@@ -219,9 +230,18 @@ def scan_rate_vs_distance(point: tuple[float, float, float],
     params = PulsePairParams(mu1=mu1, mu2=mu2, t=t, overlap=overlap)
     dists = branch_distributions(params, det, n_max, nodes=theta_nodes,
                                  tail_tol=tail_tol)
-    rows = []
-    for length in sorted(lengths):
-        ch = replace(ch_template, fiber_length_km=float(length))
-        rate, _ = _score(dists, ch, key_params)
-        rows.append(ScanRow(length_km=float(length), rate=rate))
-    return rows
+    ordered = [float(length) for length in sorted(lengths)]
+    (q_c, e_c, q_nc, e_nc), valid = predicted_statistics_over_lengths(
+        dists, ch_template, ordered)
+    rates = []
+    if valid:
+        try:
+            rates = key_rate_rows(dists, q_c[:valid], e_c[:valid], q_nc[:valid],
+                                  e_nc[:valid], key_params).tolist()
+        except DegenerateSourceError:
+            rates = [0.0] * valid
+    for length in ordered[valid:]:
+        ch = replace(ch_template, fiber_length_km=length)
+        rates.append(_score(dists, ch, key_params)[0])
+    return [ScanRow(length_km=length, rate=rate)
+            for length, rate in zip(ordered, rates)]

@@ -71,7 +71,10 @@ class ChannelModel:
     @property
     def path_transmission(self) -> float:
         """Optical transmission excluding detector efficiency."""
-        db = self.alice_internal_loss_db + self.fiber_length_km * self.fiber_loss_db_per_km
+        return self._path_transmission_at(self.fiber_length_km)
+
+    def _path_transmission_at(self, fiber_length_km: float) -> float:
+        db = self.alice_internal_loss_db + fiber_length_km * self.fiber_loss_db_per_km
         return 10.0 ** (-db / 10.0)
 
     @property
@@ -92,11 +95,18 @@ class ChannelModel:
         ``background_yield``, ``Y1`` is ``yields[1]`` and ``e1`` is
         ``err_mass[1] / yields[1]``.
         """
-        n = np.arange(n_max + 1)
-        y0 = self.background_yield
-        yields = 1.0 - (1.0 - y0) * (1.0 - self.transmission) ** n
-        err_mass = BACKGROUND_ERROR_RATE * y0 + self.misalignment * (yields - y0)
-        return yields, err_mass
+        return _yield_expansion(self.background_yield, self.transmission,
+                                self.misalignment, n_max)
+
+
+def _yield_expansion(y0: float, transmission, misalignment: float,
+                     n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ChannelModel.yields`` for a transmission, or for a column of them
+    (one row each)."""
+    n = np.arange(n_max + 1)
+    yields = 1.0 - (1.0 - y0) * (1.0 - transmission) ** n
+    err_mass = BACKGROUND_ERROR_RATE * y0 + misalignment * (yields - y0)
+    return yields, err_mass
 
 
 def predicted_statistics(dists: BranchDistributions,
@@ -115,6 +125,46 @@ def predicted_statistics(dists: BranchDistributions,
     e_c = em_c / q_c if q_c > 0.0 else 0.0
     e_nc = em_nc / q_nc if q_nc > 0.0 else 0.0
     return ObservedStatistics(q_c=q_c, e_c=e_c, q_nc=q_nc, e_nc=e_nc)
+
+
+def _row_dots(rows: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``np.dot(p, row)`` for each row, with its bits.
+
+    A (1 x n) @ (n x 1) product goes through the routine np.dot uses for two
+    vectors; a 2-d @ (gemv), einsum or ``(rows * p).sum(-1)`` sums in
+    another order and differs in the last bit on about half the rows.
+    """
+    return (rows[:, None, :] @ p[:, None])[:, 0, 0]
+
+
+def predicted_statistics_over_lengths(dists: BranchDistributions,
+                                      ch: ChannelModel, lengths: Sequence[float]
+                                      ) -> tuple[tuple[np.ndarray, ...], int]:
+    """``predicted_statistics`` of ``ch`` at each fiber length, as arrays.
+
+    Returns ``(q_c, e_c, q_nc, e_nc)``, whose entry ``i`` has the bits of
+    ``predicted_statistics(dists, replace(ch, fiber_length_km=lengths[i]))``,
+    and the number of leading lengths that ``ChannelModel`` accepts and whose
+    statistics pass the ``ObservedStatistics`` range checks.  Entries from
+    the first length that fails are not meaningful.
+    """
+    # ChannelModel.transmission in Python floats: numpy's power can round
+    # differently.
+    path_at, eta = ch._path_transmission_at, ch.bob_detector.eta_d
+    trans = np.array([path_at(length) * eta for length in lengths])
+    yields, err_mass = _yield_expansion(ch.background_yield, trans[:, None],
+                                        ch.misalignment, dists.n_max)
+    pc, pnc = dists.p_click, dists.p_noclick
+    q_c, q_nc = _row_dots(yields, pc), _row_dots(yields, pnc)
+    em_c, em_nc = _row_dots(err_mass, pc), _row_dots(err_mass, pnc)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e_c = np.where(q_c > 0.0, em_c / q_c, 0.0)
+        e_nc = np.where(q_nc > 0.0, em_nc / q_nc, 0.0)
+    km = np.asarray(lengths, dtype=float)
+    valid = (0.0 <= km) & (km < math.inf)
+    for value in (q_c, e_c, q_nc, e_nc):
+        valid &= (0.0 <= value) & (value <= 1.0)
+    return (q_c, e_c, q_nc, e_nc), valid.size if valid.all() else int(valid.argmin())
 
 
 def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,

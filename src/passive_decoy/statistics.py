@@ -4,8 +4,8 @@ Two phase-randomized weak coherent pulses with mean photon numbers ``mu1``
 and ``mu2`` interfere on a beam splitter of transmittance ``t``.  At a fixed
 relative phase ``theta`` the two output modes carry independent Poissonian
 photon numbers with means ``nu * gamma(theta)`` and ``nu * (1 - gamma(theta))``,
-where ``nu = mu1 + mu2``; averaging over the uniform phase yields the
-correlated, super-Poissonian joint distribution computed here.
+where ``nu = mu1 + mu2``; averaging over the uniform phase yields a
+correlated, super-Poissonian joint distribution of the two modes.
 
 A threshold detector monitoring the second output splits the emitted pulses
 into a "click" and a "no-click" branch whose conditional photon-number
@@ -31,11 +31,15 @@ from .errors import ParameterError, TruncationError
 PHOTON_NUMBER_CAP = 60
 DEFAULT_N_MAX = 20
 DEFAULT_THETA_NODES = 256
+# A quadrature holds two arrays of (n_max + 1) * nodes floats: at the
+# photon-number cap, 65536 nodes take 64 MB.
+MAX_THETA_NODES = 65536
 DEFAULT_TAIL_TOL = 1e-12
 
 # log(n!) for every photon number up to the cap, correctly rounded.
 _LOG_FACTORIAL = np.array([math.log(math.factorial(k))
                            for k in range(PHOTON_NUMBER_CAP + 1)])
+_PHOTON_NUMBERS = np.arange(PHOTON_NUMBER_CAP + 1, dtype=float)
 
 
 def _check_unit_interval(name: str, value: float) -> None:
@@ -148,55 +152,10 @@ def theta_nodes(count: int) -> np.ndarray:
     _check_integer("nodes", count)
     if count < 4:
         raise ParameterError(f"theta node count must be >= 4 (got {count})")
-    return 2.0 * np.pi * (np.arange(count) + 0.5) / count
-
-
-def _poisson_pmf_matrix(lam: np.ndarray, n_max: int) -> np.ndarray:
-    """Poisson pmf for n = 0..n_max at each rate, shape (n_max+1, len(lam)).
-
-    Evaluated in log space; zero rates are handled exactly.
-    """
-    n = np.arange(n_max + 1)
-    safe = np.where(lam > 0.0, lam, 1.0)
-    logs = (n[:, None] * np.log(safe[None, :]) - lam[None, :]
-            - _LOG_FACTORIAL[:n_max + 1, None])
-    pmf = np.exp(logs)
-    zero = lam == 0.0
-    if np.any(zero):
-        pmf[:, zero] = 0.0
-        pmf[0, zero] = 1.0
-    return pmf
-
-
-def _mode_rates(params: PulsePairParams, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    gam = params.gamma(theta_nodes(nodes))
-    return params.nu * gam, params.nu * (1.0 - gam)
-
-
-def _validate_count(name: str, value: int) -> None:
-    _check_integer(name, value)
-    if value < 0:
-        raise ParameterError(f"{name} must be >= 0 (got {value})")
-    if value > PHOTON_NUMBER_CAP:
+    if count > MAX_THETA_NODES:
         raise ParameterError(
-            f"{name} exceeds the photon-number cap of {PHOTON_NUMBER_CAP} (got {value}); "
-            "normalization guarantees do not extend past the cap"
-        )
-
-
-def joint_probability_matrix(params: PulsePairParams, n_max: int, m_max: int, *,
-                             nodes: int = DEFAULT_THETA_NODES) -> np.ndarray:
-    """All joint probabilities up to (n_max, m_max) in one quadrature pass."""
-    _validate_count("n_max", n_max)
-    _validate_count("m_max", m_max)
-    if params.nu <= 0.0:
-        out = np.zeros((n_max + 1, m_max + 1))
-        out[0, 0] = 1.0
-        return out
-    lam_a, lam_b = _mode_rates(params, nodes)
-    pmf_a = _poisson_pmf_matrix(lam_a, n_max)
-    pmf_b = _poisson_pmf_matrix(lam_b, m_max)
-    return np.einsum("nj,mj->nm", pmf_a, pmf_b) / lam_a.size
+            f"theta node count must be <= {MAX_THETA_NODES} (got {count})")
+    return 2.0 * np.pi * (np.arange(count) + 0.5) / count
 
 
 def branch_distributions(params: PulsePairParams, det: ThresholdDetector,
@@ -224,12 +183,26 @@ def branch_distributions(params: PulsePairParams, det: ThresholdDetector,
         p_noclick = (1.0 - det.epsilon) * p_total
         p_click = det.epsilon * p_total
     else:
-        lam_a, lam_b = _mode_rates(params, nodes)
-        pmf = _poisson_pmf_matrix(lam_a, n_max)
+        gam = params.gamma(theta_nodes(nodes))
+        lam_a, lam_b = params.nu * gam, params.nu * (1.0 - gam)
+        # Poisson pmf of the kept mode for n = 0..n_max at each node, in log
+        # space; a zero rate puts all its mass on n = 0.
+        pmf = np.multiply.outer(_PHOTON_NUMBERS[:n_max + 1],
+                                np.log(np.where(lam_a > 0.0, lam_a, 1.0)))
+        pmf -= lam_a
+        pmf -= _LOG_FACTORIAL[:n_max + 1, None]
+        np.exp(pmf, out=pmf)
+        zero = lam_a == 0.0
+        if np.any(zero):
+            pmf[:, zero] = 0.0
+            pmf[0, zero] = 1.0
+        # Phase averages: sum / nodes has the bits of mean().
         noclick_weight = (1.0 - det.epsilon) * np.exp(-lam_b * det.eta_d)
-        p_total = pmf.mean(axis=1)
-        p_noclick = (pmf * noclick_weight[None, :]).mean(axis=1)
-        p_click = (pmf * (1.0 - noclick_weight)[None, :]).mean(axis=1)
+        p_total = pmf.sum(axis=1) / nodes
+        weighted = pmf * noclick_weight
+        p_noclick = weighted.sum(axis=1) / nodes
+        np.multiply(pmf, 1.0 - noclick_weight, out=weighted)
+        p_click = weighted.sum(axis=1) / nodes
     tail = 1.0 - float(p_total.sum())
     if tail > tail_tol:
         raise TruncationError(

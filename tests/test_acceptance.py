@@ -13,15 +13,15 @@ import pytest
 from passive_decoy import (AxisSpec, ChannelModel, KeyRateParams,
                            PulsePairParams, SearchSpace, ThresholdDetector,
                            branch_distributions, g2, hom_coincidence_scan,
-                           joint_probability_matrix, key_rate,
-                           monte_carlo_run, optimize, predicted_statistics,
-                           write_records_csv)
+                           key_rate, monte_carlo_run, optimize,
+                           predicted_statistics, write_records_csv)
 from passive_decoy.cli import main as cli_main
 from passive_decoy.optimize import rate_for_point
 from passive_decoy.reports import dump_json, keyrate_report_payload
 
 from conftest import (REFERENCE_DETECTOR, REFERENCE_RATE, channel_truth,
                       poisson_vector)
+from reference_kernels import joint_probability_matrix
 from test_bounds import synthetic_sweep_points
 from test_cli import REPO_CONFIG, read_json
 

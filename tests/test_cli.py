@@ -330,6 +330,15 @@ class TestOptimizeAndScanCommands:
         assert [float(r[0]) for r in rows] == [0.0, 10.0]
         assert float(rows[0][1]) >= float(rows[1][1])
 
+    def test_scan_keeps_negative_zero_and_duplicate_lengths(self, config_path,
+                                                            tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run_cli("scan", "--config", config_path, "--lengths", "10,-0.0,10,0",
+                       "--out", str(out)) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [r[0] for r in rows] == ["-0.0", "0.0", "10.0", "10.0"]
+        assert rows[0][1] == rows[1][1] and rows[2][1] == rows[3][1]
+
     def test_optimize_without_search_section(self, tmp_path, capsys):
         doc = read_json(REPO_CONFIG)
         doc.pop("search")
@@ -413,6 +422,15 @@ class TestConfigFiles:
         (("search", "mu2"), [0.05, 0.1, 1], ["optimize"], "search.mu2"),
         (("search", "mu2"), [-0.1, 0.1, 3], ["optimize"], "search.mu2"),
         (("search", "t"), [0.5, 1.5, 3], ["optimize"], "search.t"),
+        ((), None, ["scan", "--lengths", "nan"],
+         "fiber_length_km must be finite and >= 0 (got nan)"),
+        ((), None, ["scan", "--lengths", "1e309"],
+         "fiber_length_km must be finite and >= 0 (got inf)"),
+        ((), None, ["scan", "--lengths", "10,inf"],
+         "fiber_length_km must be finite and >= 0 (got inf)"),
+        ((), None, ["scan", "--lengths", "5,-1,3"], "fiber lengths must be >= 0"),
+        (("numerics", "theta_nodes"), 65537, ["distribution"],
+         "numerics: theta_nodes must be <= 65536 (got 65537)"),
     ], ids=["seed_negative", "seed_bool", "seed_flag_negative",
             "search_axis_not_numeric", "n_max_not_integer", "e0_zero",
             "mu1_bool", "eta_d_bool", "misalignment_bool", "q_bool",
@@ -420,7 +438,9 @@ class TestConfigFiles:
             "mu1_mu2_product_overflow", "source_t_missing", "mu1_string",
             "scan_length_infinite", "search_axis_inverted",
             "search_axis_one_point", "search_intensity_negative",
-            "search_t_beyond_one"])
+            "search_t_beyond_one", "scan_length_nan", "scan_length_overflows",
+            "scan_length_infinite_after_valid", "scan_length_negative_not_first",
+            "theta_nodes_above_bound"])
     def test_bad_field_exits_validation(self, tmp_path, capsys, path, value,
                                         command, field):
         doc = read_json(REPO_CONFIG)

@@ -5,10 +5,11 @@ import pytest
 
 from passive_decoy import (ParameterError, PulsePairParams, ThresholdDetector,
                            TruncationError, branch_distributions, branch_mean,
-                           g2, joint_probability_matrix)
-from passive_decoy.statistics import _poisson_pmf_matrix, theta_nodes
+                           g2)
+from passive_decoy.statistics import theta_nodes
 
 from conftest import REFERENCE_SOURCE, poisson_vector
+from reference_kernels import _poisson_pmf_matrix, joint_probability_matrix
 
 
 def trapezoid_joint_oracle(mu1, mu2, t, n, m, nodes=1_000_000, overlap=1.0):
@@ -280,3 +281,10 @@ def test_theta_nodes_midpoint_layout():
     assert np.all(np.diff(nodes) == pytest.approx(np.pi / 4))
     with pytest.raises(ParameterError):
         theta_nodes(2)
+
+
+def test_theta_nodes_upper_bound(reference_params, reference_detector):
+    with pytest.raises(ParameterError, match=r"must be <= 65536 \(got 65537\)"):
+        theta_nodes(65537)
+    with pytest.raises(ParameterError, match=r"must be <= 65536 \(got 65537\)"):
+        branch_distributions(reference_params, reference_detector, nodes=65537)
