@@ -9,13 +9,13 @@ Records are formatted and parsed a whole batch at a time with numpy, never
 one line at a time in Python.  ``format_batch_csv`` lays a batch out as a
 fixed-width byte matrix and drops the padding with one mask.  The parser
 reads blocks of ``_PARSE_BATCH`` lines, locates the six commas of every line
-and checks every field of the block at once.  A block that fails those
-checks (a sign, a space, a leading ``+``, a blank line, a ``\\r\\n`` ending, a
-byte outside UTF-8, an out-of-domain field) goes through the per-line parser
-instead, which accepts whatever ``int()`` accepts and words every error with
-its 1-based record index.  Canonical files therefore parse fast, and any
-other file gives the same records, or the same message, as the per-line
-parser would over the whole file.
+and checks every field of the block at once; ``\\r\\n`` and ``\\r`` end lines
+as in text mode.  A block that fails those checks (a sign, a space, a
+leading ``+``, a blank line, a byte outside UTF-8, an out-of-domain field)
+goes through the per-line parser instead, which accepts whatever ``int()``
+accepts and words every error with its 1-based record index.  Canonical
+files therefore parse fast, and any other file gives the same records, or
+the same message, as the per-line parser would over the whole file.
 
 Aggregation into per-branch gains and error rates lives here: the simulator
 and ``ingest_records`` both return ``TallyCounts``, so in-memory runs and
@@ -45,7 +45,7 @@ CSV_COLUMNS = ("pulse_index", "alice_click", "alice_basis", "alice_bit",
                "bob_basis", "detected", "bob_bit")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
-_PARSE_BATCH = 262144
+_PARSE_BATCH = 65536
 # Bytes per read of a records file; blocks of _PARSE_BATCH lines are cut
 # from what has been read.
 _READ_BYTES = 1 << 20
@@ -76,6 +76,11 @@ class RecordBatch:
 
     def __len__(self) -> int:
         return self.pulse_index.size
+
+    def slices(self, rows: int) -> Iterator["RecordBatch"]:
+        """Consecutive batches of ``rows`` records, as views of this one."""
+        for lo in range(0, len(self), rows):
+            yield RecordBatch(*(getattr(self, c)[lo:lo + rows] for c in CSV_COLUMNS))
 
 
 @dataclass
@@ -411,26 +416,38 @@ def _parse_lines(lines: Iterable[str], record_no: int, escaped: bool):
     return record_no
 
 
+def _text_mode_reads(fh) -> Iterator[bytes]:
+    """Reads of a binary file, none empty, with ``\\r\\n`` and lone ``\\r``
+    line ends as ``\\n``, as in text mode (no UTF-8 sequence holds either).
+    A ``\\r`` that ends the file is dropped: the last line needs no end."""
+    held = b""
+    while data := fh.read(_READ_BYTES):
+        # A final "\r" waits for the next read, which may start with its "\n".
+        chunk, held = held + data, b"\r" if data.endswith(b"\r") else b""
+        if b"\r" in chunk:
+            chunk = chunk[:len(chunk) - len(held)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        if chunk:
+            yield chunk
+
+
 def _file_blocks(fh) -> Iterator[tuple[bytes, None]]:
-    """Blocks of ``_PARSE_BATCH`` lines from a binary file, after its header.
+    """Blocks of ``_PARSE_BATCH`` lines from ``_text_mode_reads``, after the header.
 
     The last block may hold fewer lines and lack the final newline.
     """
-    first = fh.readline()
-    cut = first.find(b"\r")
-    if cut < 0:
-        header, carry = first.rstrip(b"\n"), b""
-    else:
-        # A lone "\r" ends a line in text mode; what follows it is data.
-        header, carry = first[:cut], first[cut + 1:]
-        if carry == b"\n":
-            carry = b""
+    reads = _text_mode_reads(fh)
+    parts = []
+    for chunk in reads:
+        parts.append(chunk)
+        if b"\n" in chunk:
+            break
+    header, _, carry = b"".join(parts).partition(b"\n")
     _check_header(header.decode("utf-8", "backslashreplace"))
     # Reads are only counted until they hold a whole block, so that every
     # byte is searched for line ends once.
     parts, lines = [carry], carry.count(b"\n")
     while True:
-        chunk = fh.read(_READ_BYTES)
+        chunk = next(reads, b"")
         parts.append(chunk)
         lines += chunk.count(b"\n")
         if lines >= _PARSE_BATCH or not chunk:
@@ -541,7 +558,7 @@ def iter_batches_from_csv(source) -> Iterator[RecordBatch]:
     text mode, and a byte that is not UTF-8 is an error naming its record.
     A text object is read through its own line iteration; when its decoder
     fails, the record number can be one too high (see ``_decode_error``).
-    Canonical files come out in batches of exactly ``_PARSE_BATCH`` records.
+    Canonical files come out in batches of 65,536 (``_PARSE_BATCH``) records.
 
     Raises:
         IngestError: on a bad header or any malformed record; messages carry

@@ -171,37 +171,49 @@ def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
                     ch: ChannelModel, start: int, size: int,
                     rng: np.random.Generator) -> RecordBatch:
     # Draw order is part of the reproducibility contract; do not reorder.
-    theta = rng.uniform(0.0, 2.0 * np.pi, size)
+    # Buffers are reused; values keep the bits of tests/reference_kernels.py.
+    buf = rng.uniform(0.0, 2.0 * np.pi, size)  # theta
     if params.nu > 0.0:
-        gam = params.gamma(theta)
-        n_kept = rng.poisson(params.nu * gam)
-        m_mon = rng.poisson(params.nu * (1.0 - gam))
+        # params.gamma(theta), then nu * (1 - gamma): IEEE + and * commute.
+        np.cos(buf, out=buf)
+        buf *= params.xi
+        buf += params.mean_mode_a
+        buf /= params.nu
+        n_kept = rng.poisson(buf * params.nu)
+        np.subtract(1.0, buf, out=buf)
+        buf *= params.nu
+        m_mon = rng.poisson(buf)
     else:
-        n_kept = np.zeros(size, dtype=np.int64)
-        m_mon = np.zeros(size, dtype=np.int64)
-    click_prob = 1.0 - (1.0 - det.epsilon) * (1.0 - det.eta_d) ** m_mon
-    alice_click = rng.random(size) < click_prob
+        n_kept = m_mon = np.zeros(size, dtype=np.int64)
+    # 1 - (1 - eps) * (1 - eta) ** m_mon, from a table over the counts.
+    k = np.arange(int(m_mon.max()) + 1, dtype=np.int64)
+    np.take(1.0 - (1.0 - det.epsilon) * (1.0 - det.eta_d) ** k, m_mon,
+            out=buf, mode="clip")
+    del m_mon
+    alice_click = rng.random(size) < buf
 
     alice_basis = rng.integers(0, 2, size, dtype=np.int8)
     alice_bit = rng.integers(0, 2, size, dtype=np.int8)
     bob_basis = rng.integers(0, 2, size, dtype=np.int8)
 
     arrived = rng.binomial(n_kept, ch.transmission)
+    del n_kept
     # Matching bases route photons to the bit's detector up to misalignment
     # flips; mismatched bases scatter them half-half.
-    wrong_prob = np.where(alice_basis == bob_basis, ch.misalignment, 0.5)
-    to_wrong = rng.binomial(arrived, wrong_prob)
-    to_right = arrived - to_wrong
+    buf.fill(0.5)
+    buf[alice_basis == bob_basis] = ch.misalignment
+    to_wrong = rng.binomial(arrived, buf)
+    right, wrong = arrived > to_wrong, to_wrong > 0  # to_right > 0, to_wrong > 0
+    del arrived, to_wrong
+    bit0 = alice_bit == 0
+    click0 = np.where(bit0, right, wrong)
+    click1 = np.where(bit0, wrong, right)
 
     eps_b = ch.bob_detector.epsilon
-    dark0 = rng.random(size) < eps_b
-    dark1 = rng.random(size) < eps_b
+    click0 |= rng.random(out=buf) < eps_b
+    click1 |= rng.random(out=buf) < eps_b
     coin = rng.integers(0, 2, size, dtype=np.int8)
 
-    photons_d0 = np.where(alice_bit == 0, to_right, to_wrong)
-    photons_d1 = np.where(alice_bit == 0, to_wrong, to_right)
-    click0 = (photons_d0 > 0) | dark0
-    click1 = (photons_d1 > 0) | dark1
     detected = click0 | click1
     bob_bit = np.full(size, -1, dtype=np.int8)
     bob_bit[click1 & ~click0] = 1
@@ -211,11 +223,11 @@ def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
 
     return RecordBatch(
         pulse_index=np.arange(start, start + size, dtype=np.int64),
-        alice_click=alice_click.astype(np.int8),
+        alice_click=alice_click.view(np.int8),
         alice_basis=alice_basis,
         alice_bit=alice_bit,
         bob_basis=bob_basis,
-        detected=detected.astype(np.int8),
+        detected=detected.view(np.int8),
         bob_bit=bob_bit)
 
 

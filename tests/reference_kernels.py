@@ -3,8 +3,8 @@
 The two-mode joint distribution is an oracle no package code needs.  The
 rest are the element-at-a-time forms of code the package now evaluates in
 bulk: the phase-quadrature kernel of ``branch_distributions``, the yield
-expansion and ``predicted_statistics`` of one channel, ``key_rate`` and the
-length-by-length scan.  They are kept as they were written before the bulk
+expansion and ``predicted_statistics`` of one channel, ``key_rate``, the
+length-by-length scan and the Monte Carlo chunk sampler.  They are kept as they were written before the bulk
 forms replaced them, so a change in the package's arithmetic shows up as a
 mismatch in the last bit.
 """
@@ -17,6 +17,7 @@ from passive_decoy import (DegenerateSourceError, KeyRateParams, KeyRateReport,
                            ObservedStatistics, ParameterError, PulsePairParams,
                            ScanRow, TruncationError, binary_entropy)
 from passive_decoy.bounds import _guard_denominator
+from passive_decoy.records import RecordBatch
 from passive_decoy.simulate import BACKGROUND_ERROR_RATE
 from passive_decoy.statistics import (_LOG_FACTORIAL, DEFAULT_N_MAX,
                                       DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
@@ -228,3 +229,55 @@ def scan_rate_vs_distance(point, det, ch_template, lengths,
             rate = 0.0
         rows.append(ScanRow(length_km=float(length), rate=rate))
     return rows
+
+
+def simulate_chunk(params, det, ch, start, size, rng):
+    """``passive_decoy.simulate._simulate_chunk`` with its original
+    arithmetic: the same draws, each through a new temporary."""
+    # Draw order is part of the reproducibility contract; do not reorder.
+    theta = rng.uniform(0.0, 2.0 * np.pi, size)
+    if params.nu > 0.0:
+        gam = params.gamma(theta)
+        n_kept = rng.poisson(params.nu * gam)
+        m_mon = rng.poisson(params.nu * (1.0 - gam))
+    else:
+        n_kept = np.zeros(size, dtype=np.int64)
+        m_mon = np.zeros(size, dtype=np.int64)
+    click_prob = 1.0 - (1.0 - det.epsilon) * (1.0 - det.eta_d) ** m_mon
+    alice_click = rng.random(size) < click_prob
+
+    alice_basis = rng.integers(0, 2, size, dtype=np.int8)
+    alice_bit = rng.integers(0, 2, size, dtype=np.int8)
+    bob_basis = rng.integers(0, 2, size, dtype=np.int8)
+
+    arrived = rng.binomial(n_kept, ch.transmission)
+    # Matching bases route photons to the bit's detector up to misalignment
+    # flips; mismatched bases scatter them half-half.
+    wrong_prob = np.where(alice_basis == bob_basis, ch.misalignment, 0.5)
+    to_wrong = rng.binomial(arrived, wrong_prob)
+    to_right = arrived - to_wrong
+
+    eps_b = ch.bob_detector.epsilon
+    dark0 = rng.random(size) < eps_b
+    dark1 = rng.random(size) < eps_b
+    coin = rng.integers(0, 2, size, dtype=np.int8)
+
+    photons_d0 = np.where(alice_bit == 0, to_right, to_wrong)
+    photons_d1 = np.where(alice_bit == 0, to_wrong, to_right)
+    click0 = (photons_d0 > 0) | dark0
+    click1 = (photons_d1 > 0) | dark1
+    detected = click0 | click1
+    bob_bit = np.full(size, -1, dtype=np.int8)
+    bob_bit[click1 & ~click0] = 1
+    bob_bit[click0 & ~click1] = 0
+    both = click0 & click1
+    bob_bit[both] = coin[both]
+
+    return RecordBatch(
+        pulse_index=np.arange(start, start + size, dtype=np.int64),
+        alice_click=alice_click.astype(np.int8),
+        alice_basis=alice_basis,
+        alice_bit=alice_bit,
+        bob_basis=bob_basis,
+        detected=detected.astype(np.int8),
+        bob_bit=bob_bit)

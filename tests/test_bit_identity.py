@@ -1,11 +1,13 @@
 """The bulk kernels give the bits of the element-at-a-time references.
 
-``branch_distributions``, ``key_rate`` and ``scan_rate_vs_distance`` are
-compared with the forms kept in ``reference_kernels``.  Floats are compared
-through ``repr`` or ``tobytes``, so a difference in the last bit, or in the
-sign of a zero, fails.
+``branch_distributions``, ``key_rate``, ``scan_rate_vs_distance`` and the
+Monte Carlo chunk sampler are compared with the forms kept in
+``reference_kernels``.  Floats are compared through ``repr`` or
+``tobytes``, so a difference in the last bit, or in the sign of a zero,
+fails.
 """
 
+import itertools
 import math
 from dataclasses import asdict
 
@@ -19,7 +21,9 @@ from passive_decoy import (ChannelModel, KeyRateParams, ObservedStatistics,
                            PulsePairParams, ThresholdDetector,
                            branch_distributions, key_rate,
                            scan_rate_vs_distance)
+from passive_decoy.records import CSV_COLUMNS
 from passive_decoy.reports import dump_json, keyrate_report_payload
+from passive_decoy.simulate import _simulate_chunk
 from passive_decoy.statistics import theta_nodes
 
 from conftest import REFERENCE_DETECTOR
@@ -253,3 +257,64 @@ def test_a_subset_of_lengths_gives_the_same_rows(picks):
                                  lengths)
     assert [row.length_km for row in rows] == sorted(lengths)
     assert [row.rate.hex() for row in rows] == [FULL_SCAN[x].hex() for x in sorted(lengths)]
+
+
+def chunk_columns(params, det, ch, start, size, seed):
+    """Every column of one sampled chunk, as its dtype and bytes, from the
+    package's sampler and from the reference."""
+    def columns(fn):
+        batch = fn(params, det, ch, start, size, np.random.default_rng(seed))
+        return [(getattr(batch, name).dtype.str, getattr(batch, name).tobytes())
+                for name in CSV_COLUMNS]
+    return columns(_simulate_chunk), columns(ref.simulate_chunk)
+
+
+class TestSimulateChunk:
+    def test_random_cases(self):
+        rng = np.random.default_rng(1048576)
+        for case in range(60):
+            # A few bright sources so that the monitor counts run high.
+            scale = 30.0 if case % 10 == 0 else 3.0
+            params = PulsePairParams(mu1=rng.uniform(0.0, scale),
+                                     mu2=rng.uniform(0.0, scale),
+                                     t=rng.uniform(0.0, 1.0),
+                                     overlap=rng.uniform(0.0, 1.0))
+            det = ThresholdDetector(epsilon=10 ** rng.uniform(-8.0, -0.5),
+                                    eta_d=rng.uniform(0.0, 1.0))
+            ch = ChannelModel(
+                fiber_length_km=rng.uniform(0.0, 50.0),
+                bob_detector=ThresholdDetector(epsilon=10 ** rng.uniform(-8.0, -0.5),
+                                               eta_d=rng.uniform(0.0, 1.0)),
+                misalignment=rng.uniform(0.0, 0.5),
+                alice_internal_loss_db=rng.uniform(0.0, 10.0))
+            size = int(rng.integers(1, 20000))
+            start = int(rng.integers(0, 2 ** 40))
+            new, old = chunk_columns(params, det, ch, start, size, case)
+            assert new == old, (case, params, det, ch, size)
+
+    @pytest.mark.parametrize("size", [1, 7, 65537])
+    @pytest.mark.parametrize("mu1,mu2,t", [
+        (0.0, 0.0, 0.5),     # vacuum
+        (0.64, 0.08, 0.0),   # t = 0
+        (0.64, 0.08, 1.0),   # t = 1
+        (2.0, 1.5, 0.5),
+    ])
+    def test_edges(self, mu1, mu2, t, size):
+        params = PulsePairParams(mu1=mu1, mu2=mu2, t=t)
+        detectors = [ThresholdDetector(**REFERENCE_DETECTOR),
+                     *(ThresholdDetector(epsilon=e, eta_d=d)
+                       for e in (0.0, 1.0) for d in (0.0, 1.0))]
+        for det, bob, misalignment in itertools.product(detectors, detectors,
+                                                        (0.0, 0.5)):
+            ch = bright_channel(bob_detector=bob, misalignment=misalignment,
+                                alice_internal_loss_db=0.0)
+            new, old = chunk_columns(params, det, ch, 3, size, size)
+            assert new == old, (det, bob, misalignment)
+
+    @pytest.mark.parametrize("misalignment", [0.0, 0.5])
+    def test_full_chunk(self, misalignment):
+        params = PulsePairParams(mu1=0.64, mu2=0.08, t=0.5)
+        new, old = chunk_columns(params, ThresholdDetector(**REFERENCE_DETECTOR),
+                                 bright_channel(misalignment=misalignment),
+                                 2 ** 20, 2 ** 20, 11)
+        assert new == old

@@ -1,0 +1,139 @@
+"""Heap bounds of the click-record path, measured with ``tracemalloc``.
+
+Sampling a chunk, writing it through ``simulate``'s record sink and
+ingesting a file each work through blocks of a fixed size, so their heap
+peaks do not grow with the chunk or the file.  numpy reports its array
+buffers to ``tracemalloc``, so the peaks count them.
+"""
+
+import contextlib
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from passive_decoy import (IngestError, PulsePairParams, ThresholdDetector,
+                           cli, ingest_records)
+from passive_decoy.records import CSV_HEADER, TallyCounts, format_batch_csv
+from passive_decoy.simulate import _simulate_chunk
+
+from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE
+from test_bit_identity import bright_channel
+from test_records import random_batch
+
+MB = 2 ** 20
+CHUNK = 2 ** 20
+CHUNK_HEAP_MB = 40
+SINK_HEAP_MB = 16
+INGEST_HEAP_MB = 20
+
+
+@contextlib.contextmanager
+def heap_peak():
+    """Yields a dict whose ``"mb"`` is, after the block, the peak of the
+    traced heap during the block, in MB above its size at the start."""
+    peak = {}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        yield peak
+        peak["mb"] = (tracemalloc.get_traced_memory()[1] - base) / MB
+    finally:
+        tracemalloc.stop()
+
+
+def sample_chunk(size=CHUNK, seed=5):
+    return _simulate_chunk(PulsePairParams(**REFERENCE_SOURCE),
+                           ThresholdDetector(**REFERENCE_DETECTOR),
+                           bright_channel(), 0, size, np.random.default_rng(seed))
+
+
+def canonical_records(n, seed=3):
+    """A records file body of ``n`` canonical lines with random flags."""
+    batch = random_batch(np.random.default_rng(seed), np.arange(n))
+    return (CSV_HEADER + "\n" + format_batch_csv(batch)).encode()
+
+
+def test_sampling_a_chunk():
+    with heap_peak() as peak:
+        batch = sample_chunk()
+    assert len(batch) == CHUNK
+    assert peak["mb"] <= CHUNK_HEAP_MB
+
+
+def test_simulate_sink_writes_a_chunk_in_slices(tmp_path, monkeypatch):
+    # One chunk goes through the real record sink of the simulate command;
+    # the heap it adds above the batch is measured inside the sink call.
+    batch = sample_chunk()
+    peaks = []
+
+    def one_chunk(source, det, channel, pulses, seed, record_sink):
+        with heap_peak() as peak:
+            record_sink(batch)
+        peaks.append(peak["mb"])
+        return TallyCounts.from_batch(batch)
+
+    monkeypatch.setattr(cli, "monte_carlo_run", one_chunk)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "source": REFERENCE_SOURCE, "alice_detector": REFERENCE_DETECTOR,
+        "channel": {"fiber_length_km": 0.0,
+                    "bob_detector": {"epsilon": 2e-6, "eta_d": 0.1}}}))
+    out = tmp_path / "records.csv"
+    code = cli.main(["simulate", "--config", str(config), "--pulses", str(CHUNK),
+                     "--seed", "1", "--out", str(out),
+                     "--stats-out", str(tmp_path / "stats.json")])
+    assert code == 0
+    assert peaks[0] <= SINK_HEAP_MB
+    assert out.read_text() == CSV_HEADER + "\n" + format_batch_csv(batch)
+
+
+def test_ingesting_canonical_records(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_bytes(canonical_records(300_000))
+    with heap_peak() as peak:
+        tallies = ingest_records(str(path))
+    assert tallies.pulses == 300_000
+    assert peak["mb"] <= INGEST_HEAP_MB
+
+
+class TestLoneCarriageReturns:
+    """A file whose lines end in a lone ``\\r`` is cut into blocks like its
+    ``\\n`` twin, so it parses in the same bounded heap."""
+
+    N = 200_000
+
+    @pytest.fixture(scope="class")
+    def twins(self, tmp_path_factory):
+        data = canonical_records(self.N)
+        base = tmp_path_factory.mktemp("twins")
+        paths = base / "lf.csv", base / "cr.csv"
+        paths[0].write_bytes(data)
+        paths[1].write_bytes(data.replace(b"\n", b"\r"))
+        return paths
+
+    def test_same_tallies_in_the_ingest_bound(self, twins):
+        lf, cr = twins
+        assert b"\n" not in cr.read_bytes()
+        with heap_peak() as peak:
+            tallies = ingest_records(str(cr))
+        assert tallies == ingest_records(str(lf))
+        assert tallies.pulses == self.N
+        assert peak["mb"] <= INGEST_HEAP_MB
+
+    def test_error_in_the_second_block_names_its_record(self, twins, tmp_path):
+        # Record 65537 opens the second block of 65536 lines.
+        messages = []
+        for path in twins:
+            data = path.read_bytes()
+            end = data[-1:]
+            lines = data.split(end)
+            assert lines[65537].startswith(b"65536,")
+            lines[65537] = lines[65537].replace(b",", b",2,", 1)
+            bad = tmp_path / path.name
+            bad.write_bytes(end.join(lines))
+            with pytest.raises(IngestError) as info:
+                ingest_records(str(bad))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "record 65537: expected 7 fields, got 8"

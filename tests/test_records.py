@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -407,6 +408,56 @@ def test_bulk_parser_matches_per_line_parser(data, tmp_path_factory):
             return
         from_text = parse_outcome(lambda: iter_batches_from_csv(io.StringIO(text)))
         assert_same_outcome(from_text, got)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=mutated_csv(),
+       endings=st.lists(st.sampled_from([b"\n", b"\r", b"\r\n"]), min_size=1,
+                        max_size=5),
+       batch=st.integers(1, 9), read=st.integers(1, 40))
+def test_any_line_ends_parse_as_per_line(data, endings, batch, read,
+                                         tmp_path_factory):
+    # Every line gets one of the three endings, and blocks and reads are so
+    # short that cuts fall at, inside and just after every kind of ending.
+    lines = re.split(rb"\r\n|\r|\n", data)
+    data = b"".join(line + endings[i % len(endings)]
+                    for i, line in enumerate(lines[:-1])) + lines[-1]
+    path = tmp_path_factory.getbasetemp() / "line_ends.csv"
+    path.write_bytes(data)
+
+    def per_line():
+        header, *body = records._split_lines(data)
+        records._check_header(header)
+        batches = list(records._parse_lines(body, 0, escaped=True))
+        if not batches:
+            raise IngestError("no records in file")
+        return batches
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records, "_PARSE_BATCH", batch)
+        mp.setattr(records, "_READ_BYTES", read)
+        want = parse_outcome(per_line)
+        got = parse_outcome(lambda: iter_batches_from_csv(str(path)))
+        assert_same_outcome(got, want)
+
+
+@pytest.mark.parametrize("read", [1, 2, 3, 5, 8, 13, 21, 34])
+def test_mixed_line_ends_are_cut_into_whole_blocks(read, tmp_path, monkeypatch):
+    # A cut between a "\r" and its "\n" would start the next block with a
+    # blank line, which the bulk parser rejects, and shorten its batch.
+    batch = random_batch(np.random.default_rng(read), np.arange(100))
+    lines = format_batch_csv(batch).encode().split(b"\n")[:-1]
+    endings = (b"\r\n", b"\r", b"\n")
+    path = tmp_path / "mixed.csv"
+    path.write_bytes(CSV_HEADER.encode() + b"\r" + b"".join(
+        line + endings[i % 3] for i, line in enumerate(lines)))
+    monkeypatch.setattr(records, "_PARSE_BATCH", 7)
+    monkeypatch.setattr(records, "_READ_BYTES", read)
+    parsed = list(iter_batches_from_csv(str(path)))
+    assert [len(b) for b in parsed] == [7] * 14 + [2]
+    for name in CSV_COLUMNS:
+        column = np.concatenate([getattr(b, name) for b in parsed])
+        assert np.array_equal(column, getattr(batch, name)), name
 
 
 class TestTallies:
