@@ -65,6 +65,10 @@ def _load_stats_file(path: str):
         raise IngestError(
             f"stats file {path} is not valid JSON "
             f"(line {exc.lineno}, column {exc.colno}): {exc.msg}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(
+            f"stats file {path} is not valid UTF-8: byte "
+            f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
     return observed_from_payload(doc)
 
 

@@ -133,7 +133,7 @@ def load_run_config(path: str) -> RunConfig:
     """Parse and validate a configuration file.
 
     Raises:
-        IngestError: if the file is missing or not valid JSON.
+        IngestError: if the file is missing, not UTF-8 or not valid JSON.
         ConfigError: if the document violates a field constraint.
     """
     try:
@@ -143,4 +143,7 @@ def load_run_config(path: str) -> RunConfig:
         raise IngestError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise IngestError(f"config {path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"config {path} is not valid UTF-8: byte "
+                          f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
     return run_config_from_dict(doc)

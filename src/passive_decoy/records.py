@@ -5,17 +5,20 @@ One record per emitted pulse.  Column order is fixed and booleans are 0/1;
 
     pulse_index,alice_click,alice_basis,alice_bit,bob_basis,detected,bob_bit
 
-Records are formatted and parsed a whole batch at a time with numpy, never
-one line at a time in Python.  ``format_batch_csv`` lays a batch out as a
-fixed-width byte matrix and drops the padding with one mask.  The parser
-reads blocks of ``_PARSE_BATCH`` lines, locates the six commas of every line
-and checks every field of the block at once; ``\\r\\n`` and ``\\r`` end lines
-as in text mode.  A block that fails those checks (a sign, a space, a
-leading ``+``, a blank line, a byte outside UTF-8, an out-of-domain field)
-goes through the per-line parser instead, which accepts whatever ``int()``
-accepts and words every error with its 1-based record index.  Canonical
-files therefore parse fast, and any other file gives the same records, or
-the same message, as the per-line parser would over the whole file.
+The file format is exactly what ``format_batch_csv`` writes, read back by
+one strict parser.  ``pulse_index`` is ``0`` or 1 to 19 ASCII digits with no
+leading zero, at most 2**63 - 1; each flag is one ``0`` or ``1``; ``bob_bit``
+is one ``0`` or ``1`` where ``detected`` is 1 and empty elsewhere.  Lines
+end in ``\\n``, ``\\r\\n`` or a lone ``\\r``, and the last line needs no end.
+Anything else (a sign, a space, a leading zero, a blank line, a byte outside
+ASCII) is an error naming its 1-based record.
+
+Records are formatted and parsed a whole batch at a time with numpy.
+``format_batch_csv`` lays a batch out as a fixed-width byte matrix and drops
+the padding with one mask.  The parser reads blocks of ``_PARSE_BATCH``
+lines, locates the six commas of every line and checks every field of the
+block at once.  Only a block it rejects is read again line by line, to word
+the error for its first bad record.
 
 Aggregation into per-branch gains and error rates lives here: the simulator
 and ``ingest_records`` both return ``TallyCounts``, so in-memory runs and
@@ -32,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import re
 import stat
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -53,10 +57,11 @@ _READ_BYTES = 1 << 20
 _FLAG_COLUMNS = CSV_COLUMNS[1:6]
 # Records formatted at a time: bounds the byte matrix and its mask.
 _FORMAT_ROWS = 1 << 16
-# 10**k for k = 1..19: a magnitude has one digit more than the number of
-# these it reaches.
+# 10**k for k = 1..19: an index has one digit more than the number of these
+# it reaches.
 _TENS = 10 ** np.arange(1, 20, dtype=np.uint64)
 _INT64_MAX = np.uint64(np.iinfo(np.int64).max)
+_CANONICAL_INDEX = re.compile(r"0|[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,8 @@ def format_batch_csv(batch: RecordBatch) -> str:
     """Render a batch as CSV lines (no header).
 
     Raises:
-        ValueError: if a flag, or ``bob_bit`` where detected, is not 0 or 1.
+        ValueError: if ``pulse_index`` is negative, or a flag, or ``bob_bit``
+            where detected, is not 0 or 1.
     """
     flags = np.empty((len(batch), 5), dtype=np.uint8)
     for k, name in enumerate(_FLAG_COLUMNS):
@@ -209,6 +215,9 @@ def format_batch_csv(batch: RecordBatch) -> str:
     if np.any((flags[:, 4] == 1) & (bob != 0) & (bob != 1)):
         raise ValueError("bob_bit must be 0 or 1 where detected")
     index = np.ascontiguousarray(batch.pulse_index, dtype=np.int64)
+    if np.any(index < 0):
+        raise ValueError("pulse_index must be >= 0")
+    index = index.view(np.uint64)
     return "".join(
         _format_rows(index[lo:lo + _FORMAT_ROWS], flags[lo:lo + _FORMAT_ROWS],
                      bob[lo:lo + _FORMAT_ROWS])
@@ -216,7 +225,8 @@ def format_batch_csv(batch: RecordBatch) -> str:
 
 
 def _format_rows(index: np.ndarray, flags: np.ndarray, bob: np.ndarray) -> str:
-    """CSV lines of checked columns, laid out as rows of a byte matrix.
+    """CSV lines of checked columns (``index`` as uint64), laid out as rows
+    of a byte matrix.
 
     Each row holds the pulse index right-aligned in a field as wide as the
     widest index here, then the fixed ``,f,f,f,f,f,b\\n`` tail.  A mask drops
@@ -224,18 +234,13 @@ def _format_rows(index: np.ndarray, flags: np.ndarray, bob: np.ndarray) -> str:
     """
     n = index.size
     det = flags[:, 4].astype(bool)
-    neg = index < 0
-    # Magnitudes as uint64: negation wraps, so int64 min maps to 2**63.
-    mag = np.where(neg, -index.view(np.uint64), index.view(np.uint64))
-    width = np.searchsorted(_TENS, mag, side="right") + 1 + neg
+    width = np.searchsorted(_TENS, index, side="right") + 1
     digits = int(width.max())
 
     rows = np.empty((n, digits + 13), dtype=np.uint8)
     for col in range(digits - 1, -1, -1):
-        mag, rows[:, col] = np.divmod(mag, 10)
+        index, rows[:, col] = np.divmod(index, 10)
     rows[:, :digits] += ord("0")
-    neg_rows = np.flatnonzero(neg)
-    rows[neg_rows, digits - width[neg_rows]] = ord("-")
     rows[:, digits:digits + 11:2] = ord(",")
     rows[:, digits + 1:digits + 10:2] = flags + ord("0")
     rows[:, digits + 11] = bob.astype(np.uint8) + ord("0")
@@ -254,7 +259,8 @@ def write_records_csv(path: str, batches: Iterable[RecordBatch]) -> int:
         with open(temp, "w", encoding="utf-8", newline="") as fh:
             fh.write(CSV_HEADER + "\n")
             for batch in batches:
-                fh.write(format_batch_csv(batch))
+                # A slice at a time: the text held stays small.
+                fh.writelines(map(format_batch_csv, batch.slices(_FORMAT_ROWS)))
                 count += len(batch)
     return count
 
@@ -262,10 +268,10 @@ def write_records_csv(path: str, batches: Iterable[RecordBatch]) -> int:
 def _parse_block(block: np.ndarray) -> RecordBatch | None:
     """Bulk parse of a block of whole lines; None if any line is not canonical.
 
-    Canonical: the index is 1 to 19 ASCII digits and fits in int64, every
-    flag is one ``0`` or ``1``, and ``bob_bit`` is one such byte exactly
-    where ``detected`` is 1.  The returned arrays are new, not views of
-    ``block``.
+    Canonical: the index is ``0`` or 1 to 19 ASCII digits with no leading
+    zero and fits in int64, every flag is one ``0`` or ``1``, and ``bob_bit``
+    is one such byte exactly where ``detected`` is 1.  The returned arrays
+    are new, not views of ``block``.
     """
     if block[-1] != ord("\n"):
         block = np.append(block, np.uint8(ord("\n")))
@@ -287,7 +293,8 @@ def _parse_block(block: np.ndarray) -> RecordBatch | None:
     digits = commas[:, 0] - starts
     bob_len = ends - commas[:, 5] - 1
     if (digits.min() < 1 or digits.max() > 19 or bob_len.max() > 1
-            or np.any(np.diff(commas, axis=1) != 2)):
+            or np.any(np.diff(commas, axis=1) != 2)
+            or np.any((digits > 1) & (block[starts] == ord("0")))):
         return None
     flags = block[commas[:, :5] + 1] - ord("0")
     present = bob_len == 1
@@ -318,108 +325,14 @@ def _parse_block(block: np.ndarray) -> RecordBatch | None:
         bob_bit=bob)
 
 
-def _parse_int_field(value: str, name: str, line_no: int, allowed: tuple) -> int:
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise IngestError(f"record {line_no}: field {name!r} is not an integer "
-                          f"(got {value!r})") from None
-    if allowed and parsed not in allowed:
-        raise IngestError(f"record {line_no}: field {name!r} must be one of "
-                          f"{allowed} (got {parsed})")
-    return parsed
-
-
-def _rows_to_batch(rows: list[tuple], first_record: int) -> RecordBatch:
-    """Column arrays for parsed rows; ``first_record`` is the 1-based index
-    of ``rows[0]``, used to locate a ``pulse_index`` beyond int64."""
-    cols = list(zip(*rows))
-    try:
-        pulse_index = np.asarray(cols[0], dtype=np.int64)
-    except OverflowError:
-        info = np.iinfo(np.int64)
-        offset, value = next((i, v) for i, v in enumerate(cols[0])
-                             if not info.min <= v <= info.max)
-        raise IngestError(f"record {first_record + offset}: field 'pulse_index' "
-                          f"is outside the 64-bit integer range (got {value})") from None
-    return RecordBatch(
-        pulse_index=pulse_index,
-        alice_click=np.asarray(cols[1], dtype=np.int8),
-        alice_basis=np.asarray(cols[2], dtype=np.int8),
-        alice_bit=np.asarray(cols[3], dtype=np.int8),
-        bob_basis=np.asarray(cols[4], dtype=np.int8),
-        detected=np.asarray(cols[5], dtype=np.int8),
-        bob_bit=np.asarray(cols[6], dtype=np.int8))
-
-
-def _not_utf8(record_no: int, byte: int) -> IngestError:
-    return IngestError(f"record {record_no}: byte 0x{byte:02x} is not valid UTF-8")
-
-
 def _check_header(header: str) -> None:
     if header != CSV_HEADER:
         raise IngestError(f"bad header: expected {CSV_HEADER!r}, got {header!r}")
 
 
-def _split_lines(data: bytes) -> list[str]:
-    """The lines of a file's bytes as reading it in text mode gives them:
-    universal newlines, and each byte that is not UTF-8 kept as a lone
-    surrogate (``surrogateescape``) for the per-line parser to report."""
-    text = data.decode("utf-8", "surrogateescape")
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
-def _parse_lines(lines: Iterable[str], record_no: int, escaped: bool):
-    """The per-line parser: validates record by record, wording every error.
-
-    ``record_no`` counts the records before ``lines``; the generator returns
-    the count after them.  With ``escaped``, a lone surrogate marks a byte
-    that was not UTF-8 (see ``_split_lines``).
-    """
-    rows: list[tuple] = []
-    for line in lines:
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
-        record_no += 1
-        if escaped:
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise _not_utf8(record_no, ord(line[exc.start]) - 0xdc00) from None
-        parts = line.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise IngestError(f"record {record_no}: expected "
-                              f"{len(CSV_COLUMNS)} fields, got {len(parts)}")
-        idx = _parse_int_field(parts[0], "pulse_index", record_no, ())
-        click = _parse_int_field(parts[1], "alice_click", record_no, (0, 1))
-        abasis = _parse_int_field(parts[2], "alice_basis", record_no, (0, 1))
-        abit = _parse_int_field(parts[3], "alice_bit", record_no, (0, 1))
-        bbasis = _parse_int_field(parts[4], "bob_basis", record_no, (0, 1))
-        det = _parse_int_field(parts[5], "detected", record_no, (0, 1))
-        if parts[6] == "":
-            if det:
-                raise IngestError(f"record {record_no}: detected record "
-                                  "is missing bob_bit")
-            bob = -1
-        else:
-            if not det:
-                raise IngestError(f"record {record_no}: bob_bit present "
-                                  "but detected=0")
-            bob = _parse_int_field(parts[6], "bob_bit", record_no, (0, 1))
-        rows.append((idx, click, abasis, abit, bbasis, det, bob))
-        if len(rows) >= _PARSE_BATCH:
-            yield _rows_to_batch(rows, record_no - len(rows) + 1)
-            rows = []
-    if rows:
-        yield _rows_to_batch(rows, record_no - len(rows) + 1)
-    return record_no
-
-
 def _text_mode_reads(fh) -> Iterator[bytes]:
     """Reads of a binary file, none empty, with ``\\r\\n`` and lone ``\\r``
-    line ends as ``\\n``, as in text mode (no UTF-8 sequence holds either).
-    A ``\\r`` that ends the file is dropped: the last line needs no end."""
+    line ends as ``\\n``, as in text mode (no UTF-8 sequence holds either)."""
     held = b""
     while data := fh.read(_READ_BYTES):
         # A final "\r" waits for the next read, which may start with its "\n".
@@ -428,9 +341,11 @@ def _text_mode_reads(fh) -> Iterator[bytes]:
             chunk = chunk[:len(chunk) - len(held)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         if chunk:
             yield chunk
+    if held:
+        yield b"\n"
 
 
-def _file_blocks(fh) -> Iterator[tuple[bytes, None]]:
+def _file_blocks(fh) -> Iterator[bytes]:
     """Blocks of ``_PARSE_BATCH`` lines from ``_text_mode_reads``, after the header.
 
     The last block may hold fewer lines and lack the final newline.
@@ -456,128 +371,89 @@ def _file_blocks(fh) -> Iterator[tuple[bytes, None]]:
             start = 0
             for k in range(_PARSE_BATCH - 1, ends.size, _PARSE_BATCH):
                 stop = int(ends[k]) + 1
-                yield buf[start:stop], None
+                yield buf[start:stop]
                 start = stop
             parts, lines = [buf[start:]], ends.size % _PARSE_BATCH
         if not chunk:
             break
     if parts[0]:
-        yield parts[0], None
+        yield parts[0]
 
 
-def _text_blocks(fh) -> Iterator[tuple[bytes, list[str]]]:
-    """Blocks of ``_PARSE_BATCH`` lines from a text file object, after its
-    header, each as its encoded bytes and its lines.
+def _bad_record(data: bytes, record_no: int) -> IngestError:
+    """The error for the first record of ``data``, a block that
+    ``_parse_block`` rejected, that is outside the record grammar.
 
-    A ``UnicodeDecodeError`` raised by the object's own decoder after the
-    header passes through, after the lines read before it.
+    ``record_no`` counts the records before the block.  The checks are the
+    bulk parser's, one line at a time, in column order.
     """
+    for record_no, line in enumerate(data.removesuffix(b"\n").split(b"\n"),
+                                     record_no + 1):
+        problem = _record_problem(line)
+        if problem:
+            return IngestError(f"record {record_no}: {problem}")
+    raise AssertionError("the bulk parser rejected a block of canonical records")
+
+
+def _record_problem(line: bytes) -> str | None:
+    """What puts one record line outside the grammar, or None."""
     try:
-        header = fh.readline()
+        fields = line.decode("utf-8").split(",")
     except UnicodeDecodeError as exc:
-        raise _decode_error(exc, 0, header_read=False) from None
-    _check_header(header.rstrip("\r\n"))
-    lines: list[str] = []
-    failure = None
-    try:
-        for line in fh:
-            lines.append(line)
-            if len(lines) >= _PARSE_BATCH:
-                yield "".join(lines).encode("utf-8", "surrogatepass"), lines
-                lines = []
-    except UnicodeDecodeError as exc:
-        failure = exc
-    if lines:
-        yield "".join(lines).encode("utf-8", "surrogatepass"), lines
-    if failure is not None:
-        raise failure
+        return f"byte 0x{line[exc.start]:02x} is not valid UTF-8"
+    if len(fields) != len(CSV_COLUMNS):
+        return f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}"
+    index = fields[0]
+    if not _CANONICAL_INDEX.fullmatch(index):
+        return ("field 'pulse_index' must be 0 or ASCII digits without a sign, "
+                f"space or leading zero (got {index!r})")
+    if len(index) > 19 or int(index) > int(_INT64_MAX):
+        return ("field 'pulse_index' is outside the 64-bit integer range "
+                f"(got {index})")
+    for name, value in zip(_FLAG_COLUMNS, fields[1:6]):
+        if value not in ("0", "1"):
+            return f"field {name!r} must be 0 or 1 (got {value!r})"
+    bob = fields[6]
+    if fields[5] == "1" and not bob:
+        return "detected record is missing bob_bit"
+    if fields[5] == "0" and bob:
+        return "bob_bit present but detected=0"
+    if bob not in ("", "0", "1"):
+        return f"field 'bob_bit' must be 0 or 1 (got {bob!r})"
+    return None
 
 
-def _decode_error(exc: UnicodeDecodeError, record_no: int,
-                  header_read: bool) -> IngestError:
-    """The error for a byte that a text source's own decoder rejected.
+def iter_batches_from_csv(path) -> Iterator[RecordBatch]:
+    """Parse a record CSV file, validating per record.
 
-    ``exc.object`` holds the bytes from where that decoder stopped, and
-    ``record_no`` counts the records read before them.  Their first line
-    completes the line in progress: the header if it has not been read,
-    otherwise a record, even when its part in ``exc.object`` is empty.  The
-    whole lines after it are parsed first, so that a malformed record before
-    the byte is the one reported, as it is for a path.
+    The file holds ``CSV_HEADER``, then one record per line in the form
+    ``format_batch_csv`` writes.  Lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r``, and the last line needs no end.  Records come out in batches of
+    65,536 (``_PARSE_BATCH``).
 
-    The text of the line in progress is lost with the decoder's error, so a
-    blank line that starts exactly where the decoder stopped is counted as
-    that record's end, and the record number comes out one too high.
+    Raises:
+        IngestError: on a bad header, on no records, or on the first record
+            outside the grammar; messages carry its 1-based record index.
     """
-    raw = exc.object if isinstance(exc.object, bytes) else b""
-    byte = raw[exc.start] if exc.start < len(raw) else 0
-    lines = _split_lines(raw[:exc.start])
-    if len(lines) == 1 and not header_read:
-        header = raw.replace(b"\r", b"\n").split(b"\n", 1)[0]
-        return IngestError(
-            f"bad header: expected {CSV_HEADER!r}, "
-            f"got {header.decode('utf-8', 'backslashreplace')!r}")
-    if len(lines) > 1:
-        if header_read:
-            record_no += 1
-        else:
-            _check_header(lines[0])
-        whole = lines[1:-1]
-        for _ in _parse_lines(whole, record_no, escaped=False):
-            pass
-        record_no += sum(1 for line in whole if line)
-    return _not_utf8(record_no + 1, byte)
-
-
-def _batches(blocks: Iterator[tuple[bytes, list[str] | None]]
-             ) -> Iterator[RecordBatch]:
     record_no = 0
-    while True:
-        try:
-            data, lines = next(blocks)
-        except StopIteration:
-            break
-        except UnicodeDecodeError as exc:
-            raise _decode_error(exc, record_no, header_read=True) from None
-        batch = _parse_block(np.frombuffer(data, dtype=np.uint8))
-        if batch is not None:
+    with open(path, "rb") as fh:
+        for data in _file_blocks(fh):
+            batch = _parse_block(np.frombuffer(data, dtype=np.uint8))
+            if batch is None:
+                raise _bad_record(data, record_no)
             record_no += len(batch)
             yield batch
-        elif lines is None:
-            record_no = yield from _parse_lines(_split_lines(data), record_no,
-                                                escaped=True)
-        else:
-            record_no = yield from _parse_lines(lines, record_no, escaped=False)
     if record_no == 0:
         raise IngestError("no records in file")
 
 
-def iter_batches_from_csv(source) -> Iterator[RecordBatch]:
-    """Parse a record CSV (path or text file object), validating per record.
-
-    A path is read as bytes: lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as in
-    text mode, and a byte that is not UTF-8 is an error naming its record.
-    A text object is read through its own line iteration; when its decoder
-    fails, the record number can be one too high (see ``_decode_error``).
-    Canonical files come out in batches of 65,536 (``_PARSE_BATCH``) records.
-
-    Raises:
-        IngestError: on a bad header or any malformed record; messages carry
-            the 1-based record index.
-    """
-    if isinstance(source, (str, bytes)):
-        with open(source, "rb") as fh:
-            yield from _batches(_file_blocks(fh))
-    else:
-        yield from _batches(_text_blocks(source))
-
-
-def ingest_records(source) -> TallyCounts:
-    """Count the events of a click-record CSV (path or text file object).
+def ingest_records(path) -> TallyCounts:
+    """Count the events of a click-record CSV file.
 
     ``to_observed()`` on the result gives the observed statistics and
     ``provenance(path)`` the counts behind them.
     """
     tallies = TallyCounts()
-    for batch in iter_batches_from_csv(source):
+    for batch in iter_batches_from_csv(path):
         tallies.merge(TallyCounts.from_batch(batch))
     return tallies

@@ -1,5 +1,8 @@
+import contextlib
+import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -8,9 +11,12 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passive_decoy.cli import (EXIT_NO_KEY, EXIT_OK, EXIT_PARSE,
                                EXIT_UNEXPECTED, EXIT_VALIDATION, main)
+from passive_decoy.records import CSV_HEADER
 from passive_decoy.reports import load_schema
 
 from conftest import REFERENCE_RATE
@@ -109,6 +115,15 @@ class TestKeyrateCommand:
         assert run_cli("keyrate", str(bad), "--config",
                        config_path) == EXIT_PARSE
         assert "line" in capsys.readouterr().err
+
+    def test_stats_byte_not_utf8_is_parse_error(self, config_path, tmp_path,
+                                                capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"q_c": 1e-6\xff}')
+        assert run_cli("keyrate", str(bad), "--config",
+                       config_path) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: stats file {bad} is not valid UTF-8: byte 0xff at offset 12\n")
 
     def test_missing_field_names_it(self, config_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -289,6 +304,21 @@ class TestSimulateAndIngest:
         assert capsys.readouterr().err == (
             "error: record 2: byte 0xff is not valid UTF-8\n")
 
+    @pytest.mark.parametrize("line", [
+        b"+1,0,0,0,0,0,", b" 1,0,0,0,0,0,", b"01,0,0,0,0,0,", b"-1,0,0,0,0,0,",
+        b"", "\u0661,0,0,0,0,0,".encode(), b"1,0,+0,0,0,0,", b"1,0,0,0,0,1, 1",
+    ], ids=["plus", "space", "leading_zero", "negative", "blank_line",
+            "non_ascii_digit", "flag_plus", "bob_bit_space"])
+    def test_ingest_rejects_forms_outside_the_grammar(self, tmp_path, capsys,
+                                                      line):
+        path, out = tmp_path / "r.csv", tmp_path / "s.json"
+        path.write_bytes(CSV_HEADER.encode() + b"\n0,0,0,0,0,0,\n" + line
+                         + b"\n2,0,0,0,0,0,\n")
+        assert run_cli("ingest", str(path), "--out", str(out)) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: record 2: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_round_trip_keyrate_is_bit_exact(self, config_path, tmp_path):
         csv_path, stats_path = tmp_path / "r.csv", tmp_path / "s.json"
         run_cli("simulate", "--config", config_path, "--pulses", "80000",
@@ -458,6 +488,13 @@ class TestConfigFiles:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
 
+    def test_config_byte_not_utf8_is_parse_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"source"\xc3: {}}')
+        assert run_cli("distribution", "--config", str(cfg)) == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            f"error: config {cfg} is not valid UTF-8: byte 0xc3 at offset 9\n")
+
     def test_unknown_section_rejected(self, tmp_path, capsys):
         doc = read_json(REPO_CONFIG)
         doc["sources"] = doc["source"]
@@ -490,3 +527,45 @@ def test_cli_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+REFERENCE_BYTES = {"config": Path(REPO_CONFIG).read_bytes(),
+                   "stats": Path(REPO_STATS).read_bytes()}
+
+
+@st.composite
+def edited(draw, data):
+    """``data`` with one to three bytes replaced, inserted or deleted."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.integers(0, 255))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "replace":
+            data[at] = byte
+        elif kind == "insert":
+            data.insert(at, byte)
+        else:
+            del data[at]
+    return bytes(data)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(target=st.sampled_from(sorted(REFERENCE_BYTES)), draw=st.data())
+def test_keyrate_on_edited_json_never_exits_unexpectedly(target, draw,
+                                                         tmp_path_factory):
+    base = tmp_path_factory.getbasetemp()
+    paths = {name: base / f"fuzz_{name}.json" for name in REFERENCE_BYTES}
+    for name, data in REFERENCE_BYTES.items():
+        paths[name].write_bytes(draw.draw(edited(data)) if name == target
+                                else data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli("keyrate", str(paths["stats"]), "--config",
+                       str(paths["config"]), "--out", str(base / "fuzz_report.json"))
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PARSE, EXIT_NO_KEY), err
+    if code in (EXIT_VALIDATION, EXIT_PARSE):
+        assert re.fullmatch("error: [^\n]*\n", err), err
+    else:
+        assert err == ""

@@ -1,9 +1,9 @@
 """Heap bounds of the click-record path, measured with ``tracemalloc``.
 
-Sampling a chunk, writing it through ``simulate``'s record sink and
-ingesting a file each work through blocks of a fixed size, so their heap
-peaks do not grow with the chunk or the file.  numpy reports its array
-buffers to ``tracemalloc``, so the peaks count them.
+Sampling a chunk, writing it through ``simulate``'s record sink or
+``write_records_csv`` and ingesting a file each work through blocks of a
+fixed size, so their heap peaks do not grow with the chunk or the file.
+numpy reports its array buffers to ``tracemalloc``, so the peaks count them.
 """
 
 import contextlib
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from passive_decoy import (IngestError, PulsePairParams, ThresholdDetector,
-                           cli, ingest_records)
+                           cli, ingest_records, write_records_csv)
 from passive_decoy.records import CSV_HEADER, TallyCounts, format_batch_csv
 from passive_decoy.simulate import _simulate_chunk
 
@@ -86,6 +86,15 @@ def test_simulate_sink_writes_a_chunk_in_slices(tmp_path, monkeypatch):
                      "--stats-out", str(tmp_path / "stats.json")])
     assert code == 0
     assert peaks[0] <= SINK_HEAP_MB
+    assert out.read_text() == CSV_HEADER + "\n" + format_batch_csv(batch)
+
+
+def test_write_records_csv_writes_a_chunk_in_slices(tmp_path):
+    batch = sample_chunk()
+    out = tmp_path / "records.csv"
+    with heap_peak() as peak:
+        assert write_records_csv(str(out), [batch]) == CHUNK
+    assert peak["mb"] <= SINK_HEAP_MB
     assert out.read_text() == CSV_HEADER + "\n" + format_batch_csv(batch)
 
 

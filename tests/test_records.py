@@ -1,17 +1,20 @@
+import contextlib
 import io
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passive_decoy import (IngestError, ThresholdDetector, ingest_records,
+from passive_decoy import (IngestError, ThresholdDetector, cli, ingest_records,
                            monte_carlo_run, records, simulate,
                            write_records_csv)
 from passive_decoy.records import (CSV_COLUMNS, CSV_HEADER, RecordBatch,
                                    TallyCounts, format_batch_csv,
                                    iter_batches_from_csv)
+from passive_decoy.reports import dump_json, stats_payload
 from test_simulate import make_channel
 
 INT64 = np.iinfo(np.int64)
@@ -123,7 +126,7 @@ class TestFormatOracle:
         for n in (1, 2, 17, 3000):
             batch = random_batch(rng, rng.integers(0, 10 ** 7, n))
             assert format_batch_csv(batch) == reference_format(batch)
-        batch = random_batch(rng, rng.integers(INT64.min, INT64.max, 3000,
+        batch = random_batch(rng, rng.integers(0, INT64.max, 3000,
                                                endpoint=True))
         assert format_batch_csv(batch) == reference_format(batch)
 
@@ -137,7 +140,12 @@ class TestFormatOracle:
         rng = np.random.default_rng(index % 97)
         for pulse_index in ([index], [index, 0, 7], [3, index]):
             batch = random_batch(rng, pulse_index)
-            assert format_batch_csv(batch) == reference_format(batch)
+            if index < 0:
+                # The parser reads no sign, so none is written.
+                with pytest.raises(ValueError, match="^pulse_index must be >= 0$"):
+                    format_batch_csv(batch)
+            else:
+                assert format_batch_csv(batch) == reference_format(batch)
 
     def test_empty_batch(self):
         batch = random_batch(np.random.default_rng(0), [])
@@ -166,21 +174,31 @@ class TestBulkIndexParse:
         assert np.array_equal(parsed.pulse_index, batch.pulse_index)
 
     @pytest.mark.parametrize("index", [INT64.max + 1, 10 ** 19 - 1])
-    def test_leaves_index_beyond_int64_to_per_line_parser(self, index):
+    def test_leaves_index_beyond_int64_to_per_line_parser(self, index, tmp_path):
+        # The bulk parser rejects the block; the per-line wording names the
+        # record.
         line = "%d,0,0,0,0,0,\n" % index
         block = np.frombuffer(line.encode(), dtype=np.uint8)
         assert records._parse_block(block) is None
+        path = tmp_path / "records.csv"
+        path.write_text(CSV_HEADER + "\n" + line)
         with pytest.raises(IngestError, match=f"^record 1: .* range \\(got {index}\\)$"):
-            ingest_records(io.StringIO(CSV_HEADER + "\n" + line))
+            ingest_records(path)
 
 
 class TestIngestValidation:
-    """Each case reads its records from a text object; the subclass below
-    reads the same text from a file."""
+    """Each case reads its records from a file named by a ``Path``; the
+    subclass below names the same file by a ``str``, as the CLI does."""
+
+    path_type = Path
 
     @pytest.fixture()
-    def ingest(self):
-        return lambda text: ingest_records(io.StringIO(text))
+    def ingest(self, tmp_path):
+        def run(text):
+            path = tmp_path / "records.csv"
+            path.write_bytes(text.encode("utf-8"))
+            return ingest_records(self.path_type(path))
+        return run
 
     def test_empty_file(self, ingest):
         with pytest.raises(IngestError, match="header"):
@@ -226,13 +244,7 @@ class TestIngestValidation:
 
 
 class TestIngestValidationFromPath(TestIngestValidation):
-    @pytest.fixture()
-    def ingest(self, tmp_path):
-        def run(text):
-            path = tmp_path / "records.csv"
-            path.write_bytes(text.encode("utf-8"))
-            return ingest_records(str(path))
-        return run
+    path_type = str
 
 
 # Header plus record 1, then record 2 with a byte that is not UTF-8.
@@ -240,16 +252,12 @@ NOT_UTF8 = (CSV_HEADER.encode() + b"\n0,0,0,0,0,0,\n1,0,0,\xff,0,0,\n")
 
 
 class TestNotUtf8:
-    @pytest.fixture(params=["path", "text"])
-    def ingest(self, request, tmp_path):
+    @pytest.fixture(params=["path"])
+    def ingest(self, tmp_path):
         def run(data):
-            if request.param == "text":
-                return ingest_records(io.TextIOWrapper(io.BytesIO(data),
-                                                       encoding="utf-8"))
             path = tmp_path / "records.csv"
             path.write_bytes(data)
             return ingest_records(str(path))
-        run.source = request.param
         return run
 
     def test_names_the_record(self, ingest):
@@ -261,35 +269,11 @@ class TestNotUtf8:
         with pytest.raises(IngestError, match="^bad header: .*xff"):
             ingest(b"pulse_index\xff" + NOT_UTF8[len("pulse_index"):])
 
-    def test_past_the_text_decoder_first_chunk(self, ingest):
-        # 2000 records, about 26 kB: a text object's decoder reads the bad
-        # byte chunks after the lines before it were handed out.
+    def test_past_the_first_block(self, ingest, monkeypatch):
+        monkeypatch.setattr(records, "_PARSE_BATCH", 700)
         body = b"".join(b"%d,0,0,0,0,0,\n" % i for i in range(2000))
         with pytest.raises(IngestError, match="^record 2001: byte 0x80 "):
             ingest(CSV_HEADER.encode() + b"\n" + body + b"2000,0,0,\x80,0,0,\n")
-
-    @pytest.mark.parametrize("blank", [False, True],
-                             ids=["record_end", "blank_line"])
-    def test_line_end_at_text_decoder_chunk_boundary(self, ingest, blank):
-        # The text decoder's second read starts with "\n": the end of a
-        # record split across its reads, or a blank line after a record.
-        chunk = io.TextIOWrapper(io.BytesIO())._CHUNK_SIZE
-        data = CSV_HEADER.encode() + b"\n"
-        i = 0
-        while len(data) + 40 < chunk:
-            data += b"%d,0,0,0,0,0,\n" % i
-            i += 1
-        tail = b",0,0,0,0,0,\n" if blank else b",0,0,0,0,0,"
-        data += b"%0*d" % (chunk - len(data) - len(tail), i) + tail
-        assert len(data) == chunk
-        data += b"\n%d,0,0,\x80,0,0,\n" % (i + 1)
-        bad = i + 2
-        # The text decoder loses the line in progress with its error, so a
-        # blank line there is counted as a record's end (see _decode_error).
-        if blank and ingest.source == "text":
-            bad += 1
-        with pytest.raises(IngestError, match=f"^record {bad}: byte 0x80 "):
-            ingest(data)
 
     def test_earlier_malformed_record_wins(self, ingest):
         data = NOT_UTF8.replace(b"\n0,0,0,0,0,0,", b"\n0,0,0,0,0,1,")
@@ -297,9 +281,8 @@ class TestNotUtf8:
             ingest(data)
 
 
-# Edits that turn a canonical record line into one the bulk parser rejects.
-# Some are accepted by the per-line parser (" 1", "+0", "007", "-5", "00",
-# blank lines, CRLF endings, digits outside ASCII), the others are errors.
+# Edits to a canonical record line.  "crlf", and "index_19" up to 2**63 - 1,
+# keep the line in the record grammar; the others take it out.
 MUTATIONS = ("space", "plus", "leading_zeros", "negative", "blank_line", "crlf",
              "flag_2", "flag_x", "wide_flag", "drop_comma", "extra_comma",
              "toggle_bob",
@@ -372,20 +355,41 @@ def parse_outcome(parse):
             for name in CSV_COLUMNS}
 
 
+# One record line of the grammar, without its end: what format_batch_csv
+# writes for an index up to 2**63 - 1.
+RECORD_LINE = re.compile(rb"(0|[1-9][0-9]*),([01]),([01]),([01]),([01]),(0,|1,[01])")
+
+
 def parse_per_line(data):
-    """The per-line parser over every record line of ``data``."""
-    _, _, body = data.partition(b"\n")
-    batches = list(records._parse_lines(records._split_lines(body), 0,
-                                        escaped=True))
-    if not batches:
-        raise IngestError("no records in file")
-    return batches
+    """The record grammar, one line at a time: the columns of the records
+    file ``data``, or ``"record N: "`` for its first line outside the
+    grammar, or the message for a file without records."""
+    header, *lines = re.split(rb"\r\n|\r|\n", data)
+    assert header == CSV_HEADER.encode()
+    if lines and not lines[-1]:
+        lines.pop()  # the end of the last line
+    rows = []
+    for n, line in enumerate(lines, 1):
+        match = RECORD_LINE.fullmatch(line)
+        if not match or int(match[1]) > INT64.max:
+            return f"record {n}: "
+        detected, _, bob = match[6].partition(b",")
+        rows.append([int(v) for v in match.groups()[:5]]
+                    + [int(detected), int(bob or -1)])
+    if not rows:
+        return "no records in file"
+    return {name: np.array(column, dtype=np.int64 if name == "pulse_index"
+                           else np.int8)
+            for name, column in zip(CSV_COLUMNS, zip(*rows))}
 
 
 def assert_same_outcome(got, want):
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
+    """``got``, a parse outcome, has ``want``'s columns, or is an error
+    message that starts with ``want``."""
+    if isinstance(want, str):
+        assert isinstance(got, str) and got.startswith(want), got
         return
+    assert not isinstance(got, str), got
     for name in CSV_COLUMNS:
         assert got[name].dtype == want[name].dtype, name
         assert np.array_equal(got[name], want[name]), name
@@ -399,15 +403,8 @@ def test_bulk_parser_matches_per_line_parser(data, tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         # Blocks of 7 lines: most files mix bulk-parsed and rejected blocks.
         mp.setattr(records, "_PARSE_BATCH", 7)
-        want = parse_outcome(lambda: parse_per_line(data))
         got = parse_outcome(lambda: iter_batches_from_csv(str(path)))
-        assert_same_outcome(got, want)
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            return
-        from_text = parse_outcome(lambda: iter_batches_from_csv(io.StringIO(text)))
-        assert_same_outcome(from_text, got)
+    assert_same_outcome(got, parse_per_line(data))
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
@@ -425,20 +422,67 @@ def test_any_line_ends_parse_as_per_line(data, endings, batch, read,
     path = tmp_path_factory.getbasetemp() / "line_ends.csv"
     path.write_bytes(data)
 
-    def per_line():
-        header, *body = records._split_lines(data)
-        records._check_header(header)
-        batches = list(records._parse_lines(body, 0, escaped=True))
-        if not batches:
-            raise IngestError("no records in file")
-        return batches
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(records, "_PARSE_BATCH", batch)
         mp.setattr(records, "_READ_BYTES", read)
-        want = parse_outcome(per_line)
         got = parse_outcome(lambda: iter_batches_from_csv(str(path)))
-        assert_same_outcome(got, want)
+    assert_same_outcome(got, parse_per_line(data))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(index=st.lists(st.one_of(st.sampled_from([0, 9, 10, INT64.max]),
+                                st.integers(0, INT64.max)), min_size=1, max_size=40),
+       ending=st.sampled_from([b"\n", b"\r\n", b"\r"]), last_end=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_every_formatted_batch_parses_back(index, ending, last_end, seed,
+                                           tmp_path_factory):
+    batch = random_batch(np.random.default_rng(seed), index)
+    body = format_batch_csv(batch).encode().replace(b"\n", ending)
+    if not last_end:
+        body = body.removesuffix(ending)
+    path = tmp_path_factory.getbasetemp() / "formatted.csv"
+    path.write_bytes(CSV_HEADER.encode() + ending + body)
+    parsed = parse_outcome(lambda: iter_batches_from_csv(str(path)))
+    assert_same_outcome(parsed, {name: getattr(batch, name) for name in CSV_COLUMNS})
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=mutated_csv())
+def test_ingest_of_mutated_records_succeeds_or_names_the_record(
+        data, tmp_path_factory):
+    # Exit 0 with the grammar's tallies, or exit 3 with one error line and
+    # no output file.
+    base = tmp_path_factory.getbasetemp()
+    path, out = base / "fuzz_records.csv", base / "fuzz_stats.json"
+    path.write_bytes(data)
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["ingest", str(path), "--out", str(out)])
+    err = err.getvalue()
+    want = parse_per_line(data)
+    if isinstance(want, dict):
+        tallies = TallyCounts.from_batch(RecordBatch(**want))
+        if tallies.sifted:
+            assert (code, err) == (cli.EXIT_OK, "")
+            assert out.read_text() == dump_json(stats_payload(
+                tallies.to_observed(), tallies.provenance(str(path))))
+            return
+        want = "no sifted pulses"
+    assert code == cli.EXIT_PARSE
+    assert re.fullmatch(f"error: {re.escape(want)}[^\n]*\n", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_blank_last_line_is_a_record_error(ending, tmp_path):
+    # A file's last line needs no end, but a line end after it opens a
+    # blank line, whichever end it is.
+    path = tmp_path / "records.csv"
+    path.write_bytes(CSV_HEADER.encode() + ending + b"0,0,0,0,0,0," + ending * 2)
+    with pytest.raises(IngestError, match="^record 2: expected 7 fields, got 1$"):
+        ingest_records(str(path))
 
 
 @pytest.mark.parametrize("read", [1, 2, 3, 5, 8, 13, 21, 34])
