@@ -11,11 +11,10 @@ as an output path that cannot be written.  Every failure prints one
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bounds import key_rate
-from .config import RunConfig, load_run_config
+from .config import RunConfig, _load_json, load_run_config
 from .errors import (ConfigError, DegenerateSourceError, IngestError,
                      ParameterError, TruncationError)
 from .optimize import AxisSpec, SearchSpace, optimize, scan_rate_vs_distance
@@ -55,23 +54,6 @@ def _dists_from_config(config: RunConfig):
                                 tail_tol=num.tail_tol)
 
 
-def _load_stats_file(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IngestError(f"cannot read stats file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise IngestError(
-            f"stats file {path} is not valid JSON "
-            f"(line {exc.lineno}, column {exc.colno}): {exc.msg}") from None
-    except UnicodeDecodeError as exc:
-        raise IngestError(
-            f"stats file {path} is not valid UTF-8: byte "
-            f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
-    return observed_from_payload(doc)
-
-
 def cmd_distribution(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
     dists = _dists_from_config(config)
@@ -84,7 +66,7 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 def cmd_keyrate(args: argparse.Namespace) -> int:
     config = load_run_config(args.config)
-    stats = _load_stats_file(args.stats)
+    stats = observed_from_payload(_load_json(args.stats, "stats file"))
     dists = _dists_from_config(config)
     report = key_rate(dists, stats, config.key_params)
     payload = keyrate_report_payload(report, stats, config.key_params)

@@ -129,21 +129,29 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     return _from_json("", RunConfig, doc)
 
 
+def _load_json(path: str, what: str):
+    """The JSON document in file ``path``; an IngestError names the file as
+    ``what`` if it is unreadable, not UTF-8, not JSON or nested too deeply."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise IngestError(f"cannot read {what} {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{what} {path} is not valid UTF-8: byte "
+                          f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
+    except json.JSONDecodeError as exc:
+        raise IngestError(f"{what} {path} is not valid JSON (line {exc.lineno}, "
+                          f"column {exc.colno}): {exc.msg}") from None
+    except RecursionError:
+        raise IngestError(f"{what} {path} nests too deeply to parse") from None
+
+
 def load_run_config(path: str) -> RunConfig:
     """Parse and validate a configuration file.
 
     Raises:
-        IngestError: if the file is missing, not UTF-8 or not valid JSON.
+        IngestError: if the file cannot be read or parsed as JSON.
         ConfigError: if the document violates a field constraint.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise IngestError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"config {path} is not valid JSON: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"config {path} is not valid UTF-8: byte "
-                          f"0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
-    return run_config_from_dict(doc)
+    return run_config_from_dict(_load_json(path, "config"))

@@ -10,6 +10,7 @@ which keeps every evaluation deterministic; ties break lexicographically on
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -143,12 +144,10 @@ def rate_for_point(mu1: float, mu2: float, t: float,
 def _evaluate_grid(level: int, axes: tuple[AxisSpec, AxisSpec, AxisSpec],
                    space: SearchSpace) -> list[GridPoint]:
     points = []
-    for m1 in axes[0].grid():
-        for m2 in axes[1].grid():
-            for tt in axes[2].grid():
-                rate, flag = rate_for_point(float(m1), float(m2), float(tt), space)
-                points.append(GridPoint(level=level, mu1=float(m1), mu2=float(m2),
-                                        t=float(tt), rate=rate, flag=flag))
+    for m1, m2, tt in itertools.product(*(axis.grid().tolist() for axis in axes)):
+        rate, flag = rate_for_point(m1, m2, tt, space)
+        points.append(GridPoint(level=level, mu1=m1, mu2=m2, t=tt, rate=rate,
+                                flag=flag))
     return points
 
 

@@ -395,6 +395,13 @@ def _bad_record(data: bytes, record_no: int) -> IngestError:
     raise AssertionError("the bulk parser rejected a block of canonical records")
 
 
+def _excerpt(field: str, show=repr) -> str:
+    """``show(field)``, cut to 32 characters and the length if longer."""
+    if len(field) <= 32:
+        return show(field)
+    return f"{show(field[:32] + '…')} ({len(field)} chars)"
+
+
 def _record_problem(line: bytes) -> str | None:
     """What puts one record line outside the grammar, or None."""
     try:
@@ -406,20 +413,20 @@ def _record_problem(line: bytes) -> str | None:
     index = fields[0]
     if not _CANONICAL_INDEX.fullmatch(index):
         return ("field 'pulse_index' must be 0 or ASCII digits without a sign, "
-                f"space or leading zero (got {index!r})")
+                f"space or leading zero (got {_excerpt(index)})")
     if len(index) > 19 or int(index) > int(_INT64_MAX):
         return ("field 'pulse_index' is outside the 64-bit integer range "
-                f"(got {index})")
+                f"(got {_excerpt(index, str)})")
     for name, value in zip(_FLAG_COLUMNS, fields[1:6]):
         if value not in ("0", "1"):
-            return f"field {name!r} must be 0 or 1 (got {value!r})"
+            return f"field {name!r} must be 0 or 1 (got {_excerpt(value)})"
     bob = fields[6]
     if fields[5] == "1" and not bob:
         return "detected record is missing bob_bit"
     if fields[5] == "0" and bob:
         return "bob_bit present but detected=0"
     if bob not in ("", "0", "1"):
-        return f"field 'bob_bit' must be 0 or 1 (got {bob!r})"
+        return f"field 'bob_bit' must be 0 or 1 (got {_excerpt(bob)})"
     return None
 
 

@@ -19,6 +19,7 @@ are identical no matter how chunks are scheduled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -109,6 +110,15 @@ def _yield_expansion(y0: float, transmission, misalignment: float,
     return yields, err_mass
 
 
+@functools.lru_cache(maxsize=16)
+def _channel_yields(ch: ChannelModel, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """``ch.yields(n_max)``, read-only and kept: a search has one channel."""
+    arrays = ch.yields(n_max)
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def predicted_statistics(dists: BranchDistributions,
                          ch: ChannelModel) -> ObservedStatistics:
     """Expected per-branch gains and error rates over the channel model.
@@ -117,7 +127,7 @@ def predicted_statistics(dists: BranchDistributions,
     (unnormalized) photon-number array, so it carries the branch probability
     weight just like the ingested experimental quantities.
     """
-    yields, err_mass = ch.yields(dists.n_max)
+    yields, err_mass = _channel_yields(ch, dists.n_max)
     q_c = float(np.dot(dists.p_click, yields))
     q_nc = float(np.dot(dists.p_noclick, yields))
     em_c = float(np.dot(dists.p_click, err_mass))

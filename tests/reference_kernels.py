@@ -4,7 +4,9 @@ The two-mode joint distribution is an oracle no package code needs.  The
 rest are the element-at-a-time forms of code the package now evaluates in
 bulk: the phase-quadrature kernel of ``branch_distributions``, the yield
 expansion and ``predicted_statistics`` of one channel, ``key_rate``, the
-length-by-length scan and the Monte Carlo chunk sampler.  They are kept as they were written before the bulk
+length-by-length scan and the Monte Carlo chunk sampler.  ``rate_for_point``
+scores one optimizer grid point through the first three, with nothing kept
+from one point to the next.  They are kept as they were written before the bulk
 forms replaced them, so a change in the package's arithmetic shows up as a
 mismatch in the last bit.
 """
@@ -204,6 +206,26 @@ def key_rate(dists, obs, params=KeyRateParams()):
         combined_lower_c=comb["c"], combined_lower_nc=comb["nc"],
         r_c=rates["c"], r_nc=rates["nc"], r_total=r_total,
         diagnostics=diagnostics)
+
+
+def rate_for_point(mu1, mu2, t, space):
+    """``passive_decoy.optimize.rate_for_point`` with its scoring written
+    out, through the distributions, forward model and bound chain above."""
+    try:
+        params = PulsePairParams(mu1=mu1, mu2=mu2, t=t, overlap=space.overlap)
+        dists = branch_distributions(params, space.alice_detector, space.n_max,
+                                     nodes=space.theta_nodes,
+                                     tail_tol=space.tail_tol)
+        obs = predicted_statistics(dists, space.channel)
+        try:
+            report = key_rate(dists, obs, space.key_params)
+        except DegenerateSourceError:
+            return 0.0, "degenerate"
+        if report.diagnostics["no_single_photon_yield"]:
+            return float(report.r_total), "no_yield"
+        return float(report.r_total), ""
+    except ParameterError:
+        return 0.0, "invalid"
 
 
 def scan_rate_vs_distance(point, det, ch_template, lengths,

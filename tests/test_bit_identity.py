@@ -1,15 +1,15 @@
 """The bulk kernels give the bits of the element-at-a-time references.
 
-``branch_distributions``, ``key_rate``, ``scan_rate_vs_distance`` and the
-Monte Carlo chunk sampler are compared with the forms kept in
-``reference_kernels``.  Floats are compared through ``repr`` or
-``tobytes``, so a difference in the last bit, or in the sign of a zero,
-fails.
+``branch_distributions``, ``key_rate``, ``rate_for_point``,
+``scan_rate_vs_distance`` and the Monte Carlo chunk sampler are compared with
+the forms kept in ``reference_kernels``.  Floats are compared through
+``repr``, ``hex`` or ``tobytes``, so a difference in the last bit, or in the
+sign of a zero, fails.
 """
 
 import itertools
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -17,14 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as ref
-from passive_decoy import (ChannelModel, KeyRateParams, ObservedStatistics,
-                           PulsePairParams, ThresholdDetector,
-                           branch_distributions, key_rate,
+from passive_decoy import (AxisSpec, ChannelModel, KeyRateParams,
+                           ObservedStatistics, PulsePairParams, SearchSpace,
+                           ThresholdDetector, branch_distributions, key_rate,
                            scan_rate_vs_distance)
+from passive_decoy.optimize import rate_for_point
 from passive_decoy.records import CSV_COLUMNS
 from passive_decoy.reports import dump_json, keyrate_report_payload
-from passive_decoy.simulate import _simulate_chunk
-from passive_decoy.statistics import theta_nodes
+from passive_decoy.simulate import _channel_yields, _simulate_chunk
+from passive_decoy.statistics import _node_cosines, theta_nodes
 
 from conftest import REFERENCE_DETECTOR
 from test_bounds import synthetic_sweep_points
@@ -168,6 +169,86 @@ class TestKeyRate:
         new, old = report_bits(reference_dists, ObservedStatistics(0.0, 0.0, 0.0, 0.0),
                                KeyRateParams())
         assert new == old
+
+
+def point_bits(point, space):
+    """The (rate, flag) of one grid point, the rate spelled bit for bit, or
+    the error raised; from the package and from the reference."""
+    def spelled(fn):
+        try:
+            rate, flag = fn(*point, space)
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+        return rate.hex(), flag
+    return spelled(rate_for_point), spelled(ref.rate_for_point)
+
+
+def search_space(**changes):
+    fields = dict(mu1=AxisSpec(0.1, 1.0, 2), mu2=AxisSpec(0.0, 0.2, 2),
+                  t=AxisSpec(0.0, 1.0, 2), channel=bright_channel(fiber_length_km=10.0),
+                  alice_detector=ThresholdDetector(**REFERENCE_DETECTOR))
+    fields.update(changes)
+    return SearchSpace(**fields)
+
+
+class TestRateForPoint:
+    def test_random_points(self):
+        rng = np.random.default_rng(8192)
+        seen = set()
+        # Channels are drawn from five, so that the package's channel cache
+        # is both hit and missed.
+        channels = [bright_channel(fiber_length_km=rng.uniform(0.0, 150.0),
+                                   misalignment=rng.uniform(0.0, 0.2))
+                    for _ in range(5)]
+        for i in range(2000):
+            space = search_space(
+                channel=channels[i % len(channels)],
+                alice_detector=ThresholdDetector(epsilon=10 ** rng.uniform(-8.0, -2.0),
+                                                 eta_d=rng.uniform(0.0, 1.0)),
+                key_params=KeyRateParams(f=rng.uniform(1.0, 1.5),
+                                         e0=rng.uniform(0.05, 1.0)),
+                overlap=float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])),
+                n_max=int(rng.integers(8, 41)),
+                theta_nodes=int(rng.choice([4, 5, 16, 64, 255, 256])),
+                tail_tol=1e-6)
+            point = (rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+            new, old = point_bits(point, space)
+            assert new == old, (i, point, space)
+            seen.add(new[1])
+        assert {"", "degenerate", "no_yield"} <= seen, seen
+
+    @pytest.mark.parametrize("nodes", [4, 5, 256, 1000])
+    def test_edges(self, nodes):
+        points = [
+            (0.0, 0.0, 0.5),      # vacuum
+            (0.0, 0.5, 0.5),      # mu1 = 0
+            (0.5, 0.0, 0.5),      # mu2 = 0
+            (0.64, 0.08, 0.0),    # t = 0
+            (0.64, 0.08, 1.0),    # t = 1
+            (0.3, 0.3, 0.5),      # gamma = 0 at theta = pi, a node for odd counts
+            (0.64, 0.08, 0.5),
+            (-0.1, 0.08, 0.5),    # invalid
+            (0.64, 0.08, 1.5),    # invalid
+        ]
+        spaces = [search_space(theta_nodes=nodes, overlap=overlap)
+                  for overlap in (0.0, 1.0)]
+        spaces += [replace(spaces[1], channel=bright_channel(fiber_length_km=400.0)),
+                   replace(spaces[1], key_params=KeyRateParams(e0=5e-324))]
+        seen = set()
+        for space in spaces:
+            for point in points:
+                # A subnormal e0 divides by zero over numpy scalars.
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    new, old = point_bits(point, space)
+                assert new == old, (point, space)
+                seen.add(new[1])
+        assert seen == {"", "degenerate", "no_yield", "invalid"}
+
+    def test_cached_arrays_are_read_only(self):
+        for arr in (_node_cosines(256),
+                    *_channel_yields(bright_channel(), 20)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 def bright_channel(**changes):

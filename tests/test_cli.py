@@ -504,6 +504,32 @@ class TestConfigFiles:
         assert "sources" in capsys.readouterr().err
 
 
+# A file each JSON input can fail to load as: contents (None: no file) and
+# the start of the one error line, with the file named as {what} {path}.
+# The UTF-8 case has a test per input above.
+UNLOADABLE_JSON = {
+    "missing": (None, "cannot read {what} {path}: "),
+    "not_json": (b'{"a": 1,,}', "{what} {path} is not valid JSON (line 1, column 9): "
+                 "Expecting property name enclosed in double quotes\n"),
+    "too_deep": (b"[" * 100_000, "{what} {path} nests too deeply to parse\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNLOADABLE_JSON))
+@pytest.mark.parametrize("what", ["config", "stats file"])
+def test_unloadable_json_file_is_parse_error(tmp_path, capsys, case, what):
+    data, message = UNLOADABLE_JSON[case]
+    bad = tmp_path / "bad.json"
+    if data is not None:
+        bad.write_bytes(data)
+    argv = (["distribution", "--config", str(bad)] if what == "config"
+            else ["keyrate", str(bad), "--config", REPO_CONFIG])
+    assert run_cli(*argv) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(what=what, path=bad))
+    assert err.count("\n") == 1
+
+
 class TestOutputPaths:
     @pytest.mark.parametrize("out", ["missing/dist.json", "."],
                              ids=["missing_directory", "is_directory"])
@@ -563,6 +589,40 @@ def test_keyrate_on_edited_json_never_exits_unexpectedly(target, draw,
     with contextlib.redirect_stderr(err):
         code = run_cli("keyrate", str(paths["stats"]), "--config",
                        str(paths["config"]), "--out", str(base / "fuzz_report.json"))
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PARSE, EXIT_NO_KEY), err
+    if code in (EXIT_VALIDATION, EXIT_PARSE):
+        assert re.fullmatch("error: [^\n]*\n", err), err
+    else:
+        assert err == ""
+
+
+def small_search_config() -> bytes:
+    """The reference config with a 2 x 2 x 2 search, so that an edit that
+    adds digits to a grid size still runs in well under a second."""
+    doc = read_json(REPO_CONFIG)
+    doc["search"].update(mu1=[0.14, 1.14, 2], mu2=[0.02, 0.14, 2], t=[0.3, 0.7, 2])
+    return json.dumps(doc, indent=1).encode()
+
+
+SMALL_SEARCH_CONFIG = small_search_config()
+CONFIG_COMMANDS = {"distribution": [], "scan": ["--lengths", "0,10,50"],
+                   "optimize": []}
+
+
+# About 2 s: most edits break the JSON, about one in ten reaches validation.
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(command=st.sampled_from(sorted(CONFIG_COMMANDS)),
+       data=edited(SMALL_SEARCH_CONFIG))
+def test_other_commands_on_edited_config_never_exit_unexpectedly(
+        command, data, tmp_path_factory):
+    base = tmp_path_factory.getbasetemp()
+    config = base / "fuzz_search_config.json"
+    config.write_bytes(data)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(command, "--config", str(config), *CONFIG_COMMANDS[command],
+                       "--out", str(base / "fuzz_out"))
     err = err.getvalue()
     assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PARSE, EXIT_NO_KEY), err
     if code in (EXIT_VALIDATION, EXIT_PARSE):

@@ -238,6 +238,37 @@ class TestIngestValidation:
         with pytest.raises(IngestError, match="expected 7 fields"):
             ingest(text)
 
+    @pytest.mark.parametrize("record,message", [
+        ("1" * 5000 + ",0,0,0,0,0,",
+         "field 'pulse_index' is outside the 64-bit integer range "
+         f"(got {'1' * 32}… (5000 chars))"),
+        ("0" + "1" * 4999 + ",0,0,0,0,0,",
+         "field 'pulse_index' must be 0 or ASCII digits without a sign, "
+         f"space or leading zero (got '0{'1' * 31}…' (5000 chars))"),
+        ("0," + "x" * 5000 + ",0,0,0,0,",
+         f"field 'alice_click' must be 0 or 1 (got '{'x' * 32}…' (5000 chars))"),
+        ("0,0,0,0,0,1," + "7" * 5000,
+         f"field 'bob_bit' must be 0 or 1 (got '{'7' * 32}…' (5000 chars))"),
+    ], ids=["index_digits", "index_leading_zero", "flag", "bob_bit"])
+    def test_long_field_is_cut_in_the_message(self, ingest, record, message):
+        with pytest.raises(IngestError) as info:
+            ingest(CSV_HEADER + "\n" + record + "\n")
+        assert str(info.value) == "record 1: " + message
+
+    @pytest.mark.parametrize("record,message", [
+        ("9" * 20 + ",0,0,0,0,0,",
+         f"field 'pulse_index' is outside the 64-bit integer range (got {'9' * 20})"),
+        ("0" + "1" * 31 + ",0,0,0,0,0,",
+         "field 'pulse_index' must be 0 or ASCII digits without a sign, "
+         f"space or leading zero (got '0{'1' * 31}')"),
+        ("0," + "x" * 32 + ",0,0,0,0,",
+         f"field 'alice_click' must be 0 or 1 (got '{'x' * 32}')"),
+    ], ids=["index_range", "index_leading_zero", "flag"])
+    def test_short_field_is_quoted_whole(self, ingest, record, message):
+        with pytest.raises(IngestError) as info:
+            ingest(CSV_HEADER + "\n" + record + "\n")
+        assert str(info.value) == "record 1: " + message
+
     def test_bad_header(self, ingest):
         with pytest.raises(IngestError, match="bad header"):
             ingest("a,b,c\n0,0,0\n")
