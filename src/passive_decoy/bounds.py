@@ -174,6 +174,9 @@ def _bound_chain(heads, stats, params: KeyRateParams, ops) -> dict:
     # clamped into [0, upper] so the pair is always consistent.
     if pc0 <= 0.0 or pnc0 <= 0.0:
         raise ParameterError("vacuum probability of each branch must be positive")
+    if pc0 * e0 == 0.0 or pnc0 * e0 == 0.0:
+        raise ParameterError(f"e0 = {e0!r} is too small: a branch's vacuum "
+                             "probability times e0 underflows to zero")
     cand_c = e_c * q_c / (pc0 * e0)
     cand_nc = e_nc * q_nc / (pnc0 * e0)
     upper_is_c = cand_c <= cand_nc
@@ -254,7 +257,8 @@ def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
     as this function does.
 
     Raises:
-        ParameterError: if a branch has no vacuum probability.
+        ParameterError: if a branch has no vacuum probability, or its
+            vacuum probability times ``e0`` underflows to zero.
         DegenerateSourceError: if an elimination denominator is below
             ``DEGENERATE_DENOMINATOR_TOL``.
     """
@@ -263,9 +267,9 @@ def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
     try:
         c = _bound_chain([h.tolist() for h in heads], stats, params, _FLOAT_OPS)
     except ZeroDivisionError:
-        # A product that underflows to zero, as with a subnormal e0, divides
-        # by zero.  Over numpy scalars that gives inf or nan with a
-        # RuntimeWarning instead of an exception, as this chain always has.
+        # A product that underflows to zero divides by zero.  Over numpy
+        # scalars that gives inf or nan with a RuntimeWarning instead of an
+        # exception, as this chain always has.
         c = {k: _python_value(v)
              for k, v in _bound_chain(heads, stats, params, _FLOAT_OPS).items()}
     no_yield = c["no_yield"]

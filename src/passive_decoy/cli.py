@@ -18,8 +18,7 @@ from .config import RunConfig, _load_json, load_run_config
 from .errors import (ConfigError, DegenerateSourceError, IngestError,
                      ParameterError, TruncationError)
 from .optimize import AxisSpec, SearchSpace, optimize, scan_rate_vs_distance
-from .records import (_FORMAT_ROWS, CSV_HEADER, format_batch_csv,
-                      ingest_records, replace_on_success)
+from .records import ingest_records, open_records_csv, replace_on_success
 from .reports import (distribution_csv, distribution_report, dump_json,
                       keyrate_report_payload, observed_from_payload,
                       optimization_csv, optimization_payload, scan_csv,
@@ -92,13 +91,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # no sifted pulses, writes neither (devices and FIFOs are written as
     # they go).
     with replace_on_success(args.out, stats_out) as (records_temp, stats_temp):
-        with open(records_temp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            # A slice of each chunk at a time: the text held stays small.
-            tallies = monte_carlo_run(
-                config.source, config.alice_detector, config.channel,
-                args.pulses, seed, record_sink=lambda batch: fh.writelines(
-                    map(format_batch_csv, batch.slices(_FORMAT_ROWS))))
+        with open_records_csv(records_temp) as write:
+            tallies = monte_carlo_run(config.source, config.alice_detector,
+                                      config.channel, args.pulses, seed,
+                                      record_sink=write)
         provenance = {**tallies.provenance(args.out),
                       "seed": seed, "pulses": tallies.pulses}
         text = dump_json(stats_payload(tallies.to_observed(), provenance))

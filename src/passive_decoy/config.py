@@ -19,7 +19,7 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .bounds import KeyRateParams
-from .errors import ConfigError, IngestError, ParameterError
+from .errors import ConfigError, IngestError, ParameterError, excerpt
 from .simulate import ChannelModel
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
                          MAX_THETA_NODES, PHOTON_NUMBER_CAP, PulsePairParams,
@@ -109,18 +109,18 @@ def _from_json(path: str, tp, value):
     if typing.get_origin(tp) is tuple:
         if not isinstance(value, list) or len(value) != len(args):
             raise ConfigError(f"{path} must be an array of {len(args)} items "
-                              f"(got {value!r})")
+                              f"(got {excerpt(value)})")
         return tuple(_from_json(f"{path}[{i}]", item_tp, item)
                      for i, (item_tp, item) in enumerate(zip(args, value)))
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if tp is int:
         if not is_number or (isinstance(value, float) and not value.is_integer()):
-            raise ConfigError(f"{path} must be an integer (got {value!r})")
+            raise ConfigError(f"{path} must be an integer (got {excerpt(value)})")
         return int(value)
     if tp is float:
         # ``abs(value) <= max`` is false for nan, inf and ints beyond a float.
         if not (is_number and abs(value) <= sys.float_info.max):
-            raise ConfigError(f"{path} must be a finite number (got {value!r})")
+            raise ConfigError(f"{path} must be a finite number (got {excerpt(value)})")
         return float(value)
     raise TypeError(f"no JSON form for {path} of type {tp!r}")
 
@@ -131,7 +131,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
 
 def _load_json(path: str, what: str):
     """The JSON document in file ``path``; an IngestError names the file as
-    ``what`` if it is unreadable, not UTF-8, not JSON or nested too deeply."""
+    ``what`` if it is unreadable, not UTF-8, not JSON or past a parser limit."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -143,6 +143,9 @@ def _load_json(path: str, what: str):
     except json.JSONDecodeError as exc:
         raise IngestError(f"{what} {path} is not valid JSON (line {exc.lineno}, "
                           f"column {exc.colno}): {exc.msg}") from None
+    except ValueError:  # an integer past Python's limit on digits
+        raise IngestError(f"{what} {path} holds an integer with too many "
+                          "digits to parse") from None
     except RecursionError:
         raise IngestError(f"{what} {path} nests too deeply to parse") from None
 

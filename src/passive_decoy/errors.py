@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages quote
+the values they reject."""
 
 
 class ParameterError(ValueError):
@@ -28,3 +29,13 @@ class DegenerateSourceError(RuntimeError):
 
 class IngestError(ValueError):
     """A statistics or click-record file failed to parse or validate."""
+
+
+def excerpt(text, show=repr) -> str:
+    """``show(text)``, cut to 32 characters and the length if longer; a
+    ``text`` that is not a string is shown by its cut ``repr``."""
+    if not isinstance(text, str):
+        text, show = repr(text), str
+    if len(text) <= 32:
+        return show(text)
+    return f"{show(text[:32] + '…')} ({len(text)} chars)"

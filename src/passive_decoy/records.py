@@ -15,10 +15,10 @@ ASCII) is an error naming its 1-based record.
 
 Records are formatted and parsed a whole batch at a time with numpy.
 ``format_batch_csv`` lays a batch out as a fixed-width byte matrix and drops
-the padding with one mask.  The parser reads blocks of ``_PARSE_BATCH``
-lines, locates the six commas of every line and checks every field of the
-block at once.  Only a block it rejects is read again line by line, to word
-the error for its first bad record.
+the padding with one mask.  The parser reads blocks of about ``_READ_BYTES``
+of text, cut at line ends, locates the six commas of every line and checks
+every field of the block at once.  Only a block it rejects is read again
+line by line, to word the error for its first bad record.
 
 Aggregation into per-branch gains and error rates lives here: the simulator
 and ``ingest_records`` both return ``TallyCounts``, so in-memory runs and
@@ -38,20 +38,19 @@ import os
 import re
 import stat
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .bounds import ObservedStatistics
-from .errors import IngestError
+from .errors import IngestError, excerpt
 
 CSV_COLUMNS = ("pulse_index", "alice_click", "alice_basis", "alice_bit",
                "bob_basis", "detected", "bob_bit")
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
-_PARSE_BATCH = 65536
-# Bytes per read of a records file; blocks of _PARSE_BATCH lines are cut
-# from what has been read.
+# Bytes per read of a records file; each read ends a parse block at its
+# last line end.
 _READ_BYTES = 1 << 20
 
 _FLAG_COLUMNS = CSV_COLUMNS[1:6]
@@ -252,16 +251,24 @@ def _format_rows(index: np.ndarray, flags: np.ndarray, bob: np.ndarray) -> str:
     return str(rows[keep].data, "ascii")
 
 
+@contextlib.contextmanager
+def open_records_csv(path: str) -> Iterator[Callable[[RecordBatch], None]]:
+    """Write ``CSV_HEADER`` to file ``path`` and yield a function that
+    appends the lines of a batch; the file is closed after the block."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CSV_HEADER + "\n")
+        # A slice at a time: the text held stays small.
+        yield lambda batch: fh.writelines(
+            map(format_batch_csv, batch.slices(_FORMAT_ROWS)))
+
+
 def write_records_csv(path: str, batches: Iterable[RecordBatch]) -> int:
     """Write header plus one line per record; returns the record count."""
     count = 0
-    with replace_on_success(path) as (temp,):
-        with open(temp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
-            for batch in batches:
-                # A slice at a time: the text held stays small.
-                fh.writelines(map(format_batch_csv, batch.slices(_FORMAT_ROWS)))
-                count += len(batch)
+    with replace_on_success(path) as (temp,), open_records_csv(temp) as write:
+        for batch in batches:
+            write(batch)
+            count += len(batch)
     return count
 
 
@@ -325,59 +332,38 @@ def _parse_block(block: np.ndarray) -> RecordBatch | None:
         bob_bit=bob)
 
 
-def _check_header(header: str) -> None:
-    if header != CSV_HEADER:
-        raise IngestError(f"bad header: expected {CSV_HEADER!r}, got {header!r}")
+def _file_blocks(fh) -> Iterator[bytes]:
+    """Blocks of whole lines of a binary file, after its header line.
 
-
-def _text_mode_reads(fh) -> Iterator[bytes]:
-    """Reads of a binary file, none empty, with ``\\r\\n`` and lone ``\\r``
-    line ends as ``\\n``, as in text mode (no UTF-8 sequence holds either)."""
-    held = b""
-    while data := fh.read(_READ_BYTES):
+    Each read of ``_READ_BYTES`` has its ``\\r\\n`` and lone ``\\r`` line
+    ends turned into ``\\n``, as in text mode (no UTF-8 sequence holds
+    either), and ends a block at its last line end; the rest is carried into
+    the next block.  The last block may lack the final newline.
+    """
+    parts, held, header = [], b"", None
+    while True:
+        data = fh.read(_READ_BYTES)
         # A final "\r" waits for the next read, which may start with its "\n".
         chunk, held = held + data, b"\r" if data.endswith(b"\r") else b""
         if b"\r" in chunk:
-            chunk = chunk[:len(chunk) - len(held)].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        if chunk:
-            yield chunk
-    if held:
-        yield b"\n"
-
-
-def _file_blocks(fh) -> Iterator[bytes]:
-    """Blocks of ``_PARSE_BATCH`` lines from ``_text_mode_reads``, after the header.
-
-    The last block may hold fewer lines and lack the final newline.
-    """
-    reads = _text_mode_reads(fh)
-    parts = []
-    for chunk in reads:
+            chunk = (chunk[:len(chunk) - len(held)]
+                     .replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
         parts.append(chunk)
-        if b"\n" in chunk:
-            break
-    header, _, carry = b"".join(parts).partition(b"\n")
-    _check_header(header.decode("utf-8", "backslashreplace"))
-    # Reads are only counted until they hold a whole block, so that every
-    # byte is searched for line ends once.
-    parts, lines = [carry], carry.count(b"\n")
-    while True:
-        chunk = next(reads, b"")
-        parts.append(chunk)
-        lines += chunk.count(b"\n")
-        if lines >= _PARSE_BATCH or not chunk:
-            buf = b"".join(parts)
-            ends = np.flatnonzero(np.frombuffer(buf, dtype=np.uint8) == ord("\n"))
-            start = 0
-            for k in range(_PARSE_BATCH - 1, ends.size, _PARSE_BATCH):
-                stop = int(ends[k]) + 1
-                yield buf[start:stop]
-                start = stop
-            parts, lines = [buf[start:]], ends.size % _PARSE_BATCH
-        if not chunk:
-            break
-    if parts[0]:
-        yield parts[0]
+        if data and b"\n" not in chunk:
+            continue
+        block = b"".join(parts)
+        cut = block.rfind(b"\n") + 1 if data else len(block)
+        block, parts = block[:cut], [block[cut:]]
+        if header is None:
+            header, _, block = block.partition(b"\n")
+            header = header.decode("utf-8", "backslashreplace")
+            if header != CSV_HEADER:
+                raise IngestError(f"bad header: expected {CSV_HEADER!r}, "
+                                  f"got {excerpt(header)}")
+        if block:
+            yield block
+        if not data:
+            return
 
 
 def _bad_record(data: bytes, record_no: int) -> IngestError:
@@ -395,13 +381,6 @@ def _bad_record(data: bytes, record_no: int) -> IngestError:
     raise AssertionError("the bulk parser rejected a block of canonical records")
 
 
-def _excerpt(field: str, show=repr) -> str:
-    """``show(field)``, cut to 32 characters and the length if longer."""
-    if len(field) <= 32:
-        return show(field)
-    return f"{show(field[:32] + '…')} ({len(field)} chars)"
-
-
 def _record_problem(line: bytes) -> str | None:
     """What puts one record line outside the grammar, or None."""
     try:
@@ -413,20 +392,20 @@ def _record_problem(line: bytes) -> str | None:
     index = fields[0]
     if not _CANONICAL_INDEX.fullmatch(index):
         return ("field 'pulse_index' must be 0 or ASCII digits without a sign, "
-                f"space or leading zero (got {_excerpt(index)})")
+                f"space or leading zero (got {excerpt(index)})")
     if len(index) > 19 or int(index) > int(_INT64_MAX):
         return ("field 'pulse_index' is outside the 64-bit integer range "
-                f"(got {_excerpt(index, str)})")
+                f"(got {excerpt(index, str)})")
     for name, value in zip(_FLAG_COLUMNS, fields[1:6]):
         if value not in ("0", "1"):
-            return f"field {name!r} must be 0 or 1 (got {_excerpt(value)})"
+            return f"field {name!r} must be 0 or 1 (got {excerpt(value)})"
     bob = fields[6]
     if fields[5] == "1" and not bob:
         return "detected record is missing bob_bit"
     if fields[5] == "0" and bob:
         return "bob_bit present but detected=0"
     if bob not in ("", "0", "1"):
-        return f"field 'bob_bit' must be 0 or 1 (got {_excerpt(bob)})"
+        return f"field 'bob_bit' must be 0 or 1 (got {excerpt(bob)})"
     return None
 
 
@@ -435,8 +414,8 @@ def iter_batches_from_csv(path) -> Iterator[RecordBatch]:
 
     The file holds ``CSV_HEADER``, then one record per line in the form
     ``format_batch_csv`` writes.  Lines end at ``\\n``, ``\\r\\n`` or
-    ``\\r``, and the last line needs no end.  Records come out in batches of
-    65,536 (``_PARSE_BATCH``).
+    ``\\r``, and the last line needs no end.  Records come out in batches,
+    one per block of about ``_READ_BYTES`` of text cut at line ends.
 
     Raises:
         IngestError: on a bad header, on no records, or on the first record

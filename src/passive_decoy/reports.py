@@ -9,6 +9,7 @@ header row and fixed column order.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict
 from importlib import resources
 
@@ -90,7 +91,8 @@ def observed_from_payload(doc: dict) -> ObservedStatistics:
     """Build statistics from a parsed stats JSON document.
 
     Raises:
-        IngestError: on missing or non-numeric fields (message names them).
+        IngestError: on missing fields or ones that are not a float
+            (message names them).
         ParameterError: on out-of-range values.
     """
     if not isinstance(doc, dict):
@@ -102,6 +104,9 @@ def observed_from_payload(doc: dict) -> ObservedStatistics:
         value = doc[name]
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise IngestError(f"stats document: field {name!r} must be a number")
+        if isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise IngestError(f"stats document: field {name!r} is beyond the "
+                              "float range")
         values[name] = float(value)
     return ObservedStatistics(**values)
 

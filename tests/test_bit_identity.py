@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 
 import reference_kernels as ref
 from passive_decoy import (AxisSpec, ChannelModel, KeyRateParams,
-                           ObservedStatistics, PulsePairParams, SearchSpace,
-                           ThresholdDetector, branch_distributions, key_rate,
-                           scan_rate_vs_distance)
+                           ObservedStatistics, ParameterError, PulsePairParams,
+                           SearchSpace, ThresholdDetector, branch_distributions,
+                           key_rate, scan_rate_vs_distance)
+from passive_decoy.bounds import key_rate_rows
 from passive_decoy.optimize import rate_for_point
 from passive_decoy.records import CSV_COLUMNS
 from passive_decoy.reports import dump_json, keyrate_report_payload
@@ -157,13 +158,17 @@ class TestKeyRate:
                 seen["raises"] += 1
         assert min(seen.values()) >= 30, seen
 
-    def test_subnormal_e0_divides_as_numpy_scalars(self, reference_dists):
-        # pc[0] * e0 underflows to zero: the chain takes inf, not an exception.
+    def test_subnormal_e0_is_rejected(self, reference_dists):
+        # pc[0] * e0 underflows to zero, where the reference divides by zero
+        # over numpy scalars: the float and row paths both raise instead.
         obs = ObservedStatistics(q_c=2.54e-6, e_c=0.0613, q_nc=8.18e-5, e_nc=0.0555)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            new, old = report_bits(reference_dists, obs, KeyRateParams(e0=5e-324))
-        assert new == old
-        assert '"y1_lower_raw": -Infinity' in new[0]
+        params = KeyRateParams(e0=5e-324)
+        message = r"^e0 = 5e-324 is too small: .* underflows to zero$"
+        with pytest.raises(ParameterError, match=message):
+            key_rate(reference_dists, obs, params)
+        rows = (np.array([v]) for v in (obs.q_c, obs.e_c, obs.q_nc, obs.e_nc))
+        with pytest.raises(ParameterError, match=message):
+            key_rate_rows(reference_dists, *rows, params)
 
     def test_zero_gains(self, reference_dists):
         new, old = report_bits(reference_dists, ObservedStatistics(0.0, 0.0, 0.0, 0.0),
@@ -232,17 +237,19 @@ class TestRateForPoint:
         ]
         spaces = [search_space(theta_nodes=nodes, overlap=overlap)
                   for overlap in (0.0, 1.0)]
-        spaces += [replace(spaces[1], channel=bright_channel(fiber_length_km=400.0)),
-                   replace(spaces[1], key_params=KeyRateParams(e0=5e-324))]
+        spaces.append(replace(spaces[1], channel=bright_channel(fiber_length_km=400.0)))
         seen = set()
         for space in spaces:
             for point in points:
-                # A subnormal e0 divides by zero over numpy scalars.
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    new, old = point_bits(point, space)
+                new, old = point_bits(point, space)
                 assert new == old, (point, space)
                 seen.add(new[1])
         assert seen == {"", "degenerate", "no_yield", "invalid"}
+        # A subnormal e0 makes every point invalid, where the reference
+        # divides by zero over numpy scalars.
+        subnormal = replace(spaces[1], key_params=KeyRateParams(e0=5e-324))
+        for point in points:
+            assert rate_for_point(*point, subnormal) == (0.0, "invalid")
 
     def test_cached_arrays_are_read_only(self):
         for arr in (_node_cosines(256),

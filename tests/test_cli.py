@@ -132,6 +132,22 @@ class TestKeyrateCommand:
                        config_path) == EXIT_PARSE
         assert "e_nc" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("q_c,code,message", [
+        ("1" + "0" * 400, EXIT_PARSE,
+         "stats document: field 'q_c' is beyond the float range"),
+        ("1" * 5000, EXIT_PARSE, "holds an integer with too many digits"),
+        ("NaN", EXIT_VALIDATION, "q_c must be within [0, 1] (got nan)"),
+        ("Infinity", EXIT_VALIDATION, "q_c must be within [0, 1] (got inf)"),
+    ], ids=["int_401_digits", "int_5000_digits", "nan", "infinity"])
+    def test_number_outside_the_floats(self, config_path, tmp_path, capsys,
+                                       q_c, code, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"q_c": %s, "e_c": 0.05, "q_nc": 1e-4, "e_nc": 0.05}' % q_c)
+        assert run_cli("keyrate", str(bad), "--config", config_path) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestSimulateAndIngest:
     def test_seed_repeat_is_byte_identical(self, config_path, tmp_path):
@@ -418,6 +434,14 @@ class TestOptimizeAndScanCommands:
                        "--out", str(tmp_path / "s.csv")) == EXIT_OK
 
 
+def nested_array(depth):
+    """An array holding an array, ``depth`` deep."""
+    value = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
 class TestConfigFiles:
     def test_repo_config_matches_schema(self):
         jsonschema.validate(read_json(REPO_CONFIG), load_schema("run_config"))
@@ -461,6 +485,10 @@ class TestConfigFiles:
         ((), None, ["scan", "--lengths", "5,-1,3"], "fiber lengths must be >= 0"),
         (("numerics", "theta_nodes"), 65537, ["distribution"],
          "numerics: theta_nodes must be <= 65536 (got 65537)"),
+        (("source", "mu1"), "x" * 100_000, ["distribution"],
+         f"source.mu1 must be a finite number (got '{'x' * 32}…' (100000 chars))"),
+        (("search", "t"), nested_array(500), ["optimize"],
+         f"search.t must be an array of 3 items (got {'[' * 32}… (1000 chars))"),
     ], ids=["seed_negative", "seed_bool", "seed_flag_negative",
             "search_axis_not_numeric", "n_max_not_integer", "e0_zero",
             "mu1_bool", "eta_d_bool", "misalignment_bool", "q_bool",
@@ -470,7 +498,7 @@ class TestConfigFiles:
             "search_axis_one_point", "search_intensity_negative",
             "search_t_beyond_one", "scan_length_nan", "scan_length_overflows",
             "scan_length_infinite_after_valid", "scan_length_negative_not_first",
-            "theta_nodes_above_bound"])
+            "theta_nodes_above_bound", "mu1_long_string", "search_deep_array"])
     def test_bad_field_exits_validation(self, tmp_path, capsys, path, value,
                                         command, field):
         doc = read_json(REPO_CONFIG)
@@ -487,6 +515,7 @@ class TestConfigFiles:
         assert run_cli(*command, "--config", str(cfg)) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err
+        assert err.count("\n") == 1 and len(err) < 200
 
     def test_config_byte_not_utf8_is_parse_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -629,3 +658,29 @@ def test_other_commands_on_edited_config_never_exit_unexpectedly(
         assert re.fullmatch("error: [^\n]*\n", err), err
     else:
         assert err == ""
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=edited(REFERENCE_BYTES["config"]))
+def test_simulate_on_edited_config_never_exits_unexpectedly(data,
+                                                            tmp_path_factory):
+    # Exit 0 with both outputs, or exit 2 or 3 with one error line and
+    # neither output.
+    base = tmp_path_factory.getbasetemp()
+    config = base / "fuzz_simulate_config.json"
+    config.write_bytes(data)
+    outputs = base / "fuzz_records.csv", base / "fuzz_stats.json"
+    for path in outputs:
+        path.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli("simulate", "--config", str(config), "--pulses", "2000",
+                       "--out", str(outputs[0]), "--stats-out", str(outputs[1]))
+    err = err.getvalue()
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_PARSE), err
+    if code == EXIT_OK:
+        assert err == ""
+        assert all(path.exists() for path in outputs)
+    else:
+        assert re.fullmatch("error: [^\n]*\n", err), err
+        assert not any(path.exists() for path in outputs)

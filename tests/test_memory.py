@@ -132,7 +132,7 @@ class TestLoneCarriageReturns:
         assert peak["mb"] <= INGEST_HEAP_MB
 
     def test_error_in_the_second_block_names_its_record(self, twins, tmp_path):
-        # Record 65537 opens the second block of 65536 lines.
+        # Record 65537 lies past the first read of a megabyte.
         messages = []
         for path in twins:
             data = path.read_bytes()

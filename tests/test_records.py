@@ -33,6 +33,19 @@ def reference_format(batch):
     return "\n".join(out) + ("\n" if out else "")
 
 
+def assert_whole_line_blocks(path, parsed, read):
+    """The records file ``path`` is read in more than one block, each ending
+    at a line end, holding the lines of one parsed batch and at most
+    ``read`` bytes plus the line carried into it."""
+    with open(path, "rb") as fh:
+        blocks = list(records._file_blocks(fh))
+    assert len(blocks) > 1
+    assert all(block.endswith(b"\n") for block in blocks)
+    assert [block.count(b"\n") for block in blocks] == [len(b) for b in parsed]
+    longest_line = max(len(line) for line in b"".join(blocks).split(b"\n"))
+    assert max(len(block) for block in blocks) <= read + longest_line
+
+
 def random_batch(rng, pulse_index):
     n = len(pulse_index)
     flags = [rng.integers(0, 2, n, dtype=np.int8) for _ in range(5)]
@@ -94,10 +107,10 @@ class TestCsvRoundTrip:
 
     def test_round_trip_across_chunk_and_parse_batches(
             self, reference_params, reference_detector, tmp_path, monkeypatch):
-        # Small chunks and parse batches so that 2500 pulses cross both
-        # boundaries, at offsets that do not line up with each other.
+        # Small chunks and reads so that 2500 pulses cross both boundaries,
+        # at offsets that do not line up with each other.
         monkeypatch.setattr(simulate, "_CHUNK_PULSES", 1000)
-        monkeypatch.setattr(records, "_PARSE_BATCH", 700)
+        monkeypatch.setattr(records, "_READ_BYTES", 10_000)
         channel = make_channel(fiber_length_km=0.0, alice_internal_loss_db=0.0,
                                bob_detector=ThresholdDetector(1e-3, 0.9))
         files = []
@@ -111,7 +124,7 @@ class TestCsvRoundTrip:
             files.append(path.read_bytes())
         assert [len(b) for b in batches] == [1000, 1000, 500]
         parsed = list(iter_batches_from_csv(str(path)))
-        assert [len(b) for b in parsed] == [700, 700, 700, 400]
+        assert_whole_line_blocks(path, parsed, 10_000)
         for sizes in (batches, parsed):
             index = np.concatenate([b.pulse_index for b in sizes])
             assert np.array_equal(index, np.arange(2500))
@@ -301,7 +314,7 @@ class TestNotUtf8:
             ingest(b"pulse_index\xff" + NOT_UTF8[len("pulse_index"):])
 
     def test_past_the_first_block(self, ingest, monkeypatch):
-        monkeypatch.setattr(records, "_PARSE_BATCH", 700)
+        monkeypatch.setattr(records, "_READ_BYTES", 10_000)
         body = b"".join(b"%d,0,0,0,0,0,\n" % i for i in range(2000))
         with pytest.raises(IngestError, match="^record 2001: byte 0x80 "):
             ingest(CSV_HEADER.encode() + b"\n" + body + b"2000,0,0,\x80,0,0,\n")
@@ -432,8 +445,9 @@ def test_bulk_parser_matches_per_line_parser(data, tmp_path_factory):
     path = tmp_path_factory.getbasetemp() / "mutated.csv"
     path.write_bytes(data)
     with pytest.MonkeyPatch.context() as mp:
-        # Blocks of 7 lines: most files mix bulk-parsed and rejected blocks.
-        mp.setattr(records, "_PARSE_BATCH", 7)
+        # Blocks of some 7 lines: most files mix bulk-parsed and rejected
+        # blocks.
+        mp.setattr(records, "_READ_BYTES", 100)
         got = parse_outcome(lambda: iter_batches_from_csv(str(path)))
     assert_same_outcome(got, parse_per_line(data))
 
@@ -442,11 +456,10 @@ def test_bulk_parser_matches_per_line_parser(data, tmp_path_factory):
 @given(data=mutated_csv(),
        endings=st.lists(st.sampled_from([b"\n", b"\r", b"\r\n"]), min_size=1,
                         max_size=5),
-       batch=st.integers(1, 9), read=st.integers(1, 40))
-def test_any_line_ends_parse_as_per_line(data, endings, batch, read,
-                                         tmp_path_factory):
-    # Every line gets one of the three endings, and blocks and reads are so
-    # short that cuts fall at, inside and just after every kind of ending.
+       read=st.integers(1, 40))
+def test_any_line_ends_parse_as_per_line(data, endings, read, tmp_path_factory):
+    # Every line gets one of the three endings, and reads are so short that
+    # cuts fall at, inside and just after every kind of ending.
     lines = re.split(rb"\r\n|\r|\n", data)
     data = b"".join(line + endings[i % len(endings)]
                     for i, line in enumerate(lines[:-1])) + lines[-1]
@@ -454,7 +467,6 @@ def test_any_line_ends_parse_as_per_line(data, endings, batch, read,
     path.write_bytes(data)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(records, "_PARSE_BATCH", batch)
         mp.setattr(records, "_READ_BYTES", read)
         got = parse_outcome(lambda: iter_batches_from_csv(str(path)))
     assert_same_outcome(got, parse_per_line(data))
@@ -519,17 +531,16 @@ def test_blank_last_line_is_a_record_error(ending, tmp_path):
 @pytest.mark.parametrize("read", [1, 2, 3, 5, 8, 13, 21, 34])
 def test_mixed_line_ends_are_cut_into_whole_blocks(read, tmp_path, monkeypatch):
     # A cut between a "\r" and its "\n" would start the next block with a
-    # blank line, which the bulk parser rejects, and shorten its batch.
+    # blank line, which the bulk parser rejects.
     batch = random_batch(np.random.default_rng(read), np.arange(100))
     lines = format_batch_csv(batch).encode().split(b"\n")[:-1]
     endings = (b"\r\n", b"\r", b"\n")
     path = tmp_path / "mixed.csv"
     path.write_bytes(CSV_HEADER.encode() + b"\r" + b"".join(
         line + endings[i % 3] for i, line in enumerate(lines)))
-    monkeypatch.setattr(records, "_PARSE_BATCH", 7)
     monkeypatch.setattr(records, "_READ_BYTES", read)
     parsed = list(iter_batches_from_csv(str(path)))
-    assert [len(b) for b in parsed] == [7] * 14 + [2]
+    assert_whole_line_blocks(path, parsed, read)
     for name in CSV_COLUMNS:
         column = np.concatenate([getattr(b, name) for b in parsed])
         assert np.array_equal(column, getattr(batch, name)), name
