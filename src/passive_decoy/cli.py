@@ -16,7 +16,7 @@ import sys
 from .bounds import key_rate
 from .config import RunConfig, _load_json, load_run_config
 from .errors import (ConfigError, DegenerateSourceError, IngestError,
-                     ParameterError, TruncationError)
+                     ParameterError, TruncationError, excerpt)
 from .optimize import AxisSpec, SearchSpace, optimize, scan_rate_vs_distance
 from .records import ingest_records, open_records_csv, replace_on_success
 from .reports import (distribution_csv, distribution_report, dump_json,
@@ -81,9 +81,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if seed is None:
         raise ConfigError("simulate requires a seed (flag --seed or config)")
     if seed < 0:
-        raise ParameterError(f"--seed must be >= 0 (got {seed})")
+        raise ParameterError(f"--seed must be >= 0 (got {excerpt(seed)})")
     if args.pulses < 1:
-        raise ParameterError(f"--pulses must be >= 1 (got {args.pulses})")
+        raise ParameterError(f"--pulses must be >= 1 (got {excerpt(args.pulses)})")
 
     stats_out = None if args.stats_out in (None, "-") else args.stats_out
     # File outputs are written to temporary siblings, which replace the
@@ -160,7 +160,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         lengths = [float(part) for part in args.lengths.split(",") if part.strip()]
     except ValueError:
         raise ParameterError(f"--lengths must be comma-separated numbers "
-                             f"(got {args.lengths!r})") from None
+                             f"(got {excerpt(args.lengths)})") from None
     src = config.source
     rows = scan_rate_vs_distance(
         (src.mu1, src.mu2, src.t), config.alice_detector, config.channel,

@@ -34,13 +34,14 @@ class Numerics:
 
     def __post_init__(self) -> None:
         if not 2 <= self.n_max <= PHOTON_NUMBER_CAP:
-            raise ParameterError(
-                f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {self.n_max})")
+            raise ParameterError(f"n_max must be within [2, {PHOTON_NUMBER_CAP}] "
+                                 f"(got {excerpt(self.n_max)})")
         if self.theta_nodes < 4:
-            raise ParameterError(f"theta_nodes must be >= 4 (got {self.theta_nodes})")
-        if self.theta_nodes > MAX_THETA_NODES:
             raise ParameterError(
-                f"theta_nodes must be <= {MAX_THETA_NODES} (got {self.theta_nodes})")
+                f"theta_nodes must be >= 4 (got {excerpt(self.theta_nodes)})")
+        if self.theta_nodes > MAX_THETA_NODES:
+            raise ParameterError(f"theta_nodes must be <= {MAX_THETA_NODES} "
+                                 f"(got {excerpt(self.theta_nodes)})")
         if not self.tail_tol > 0.0:
             raise ParameterError(f"tail_tol must be > 0 (got {self.tail_tol})")
 
@@ -57,7 +58,7 @@ class SearchSection:
     def __post_init__(self) -> None:
         if self.refinement_levels < 1:
             raise ParameterError(
-                f"refinement_levels must be >= 1 (got {self.refinement_levels})")
+                f"refinement_levels must be >= 1 (got {excerpt(self.refinement_levels)})")
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if self.seed is not None and self.seed < 0:
-            raise ParameterError(f"seed must be >= 0 (got {self.seed})")
+            raise ParameterError(f"seed must be >= 0 (got {excerpt(self.seed)})")
 
 
 # Resolving the string annotations is most of the cost of a load; do it once.

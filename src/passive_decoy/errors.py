@@ -33,9 +33,10 @@ class IngestError(ValueError):
 
 def excerpt(text, show=repr) -> str:
     """``show(text)``, cut to 32 characters and the length if longer; a
-    ``text`` that is not a string is shown by its cut ``repr``."""
+    ``text`` that is not a string is shown by its cut ``str``, which for a
+    value decoded from JSON is its ``repr``."""
     if not isinstance(text, str):
-        text, show = repr(text), str
+        text, show = str(text), str
     if len(text) <= 32:
         return show(text)
     return f"{show(text[:32] + '…')} ({len(text)} chars)"

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import KeyRateParams, key_rate, key_rate_rows
-from .errors import DegenerateSourceError, ParameterError
+from .errors import DegenerateSourceError, ParameterError, excerpt
 from .simulate import (ChannelModel, predicted_statistics,
                        predicted_statistics_over_lengths)
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
@@ -42,7 +42,7 @@ class AxisSpec:
             if self.points != 1:
                 raise ParameterError("degenerate axis must use exactly 1 point")
         elif self.points < 2:
-            raise ParameterError(f"axis needs >= 2 points (got {self.points})")
+            raise ParameterError(f"axis needs >= 2 points (got {excerpt(self.points)})")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.points)

@@ -14,11 +14,14 @@ Anything else (a sign, a space, a leading zero, a blank line, a byte outside
 ASCII) is an error naming its 1-based record.
 
 Records are formatted and parsed a whole batch at a time with numpy.
-``format_batch_csv`` lays a batch out as a fixed-width byte matrix and drops
-the padding with one mask.  The parser reads blocks of about ``_READ_BYTES``
-of text, cut at line ends, locates the six commas of every line and checks
-every field of the block at once.  Only a block it rejects is read again
-line by line, to word the error for its first bad record.
+``format_batch_csv`` writes each record's index digits beside a 13-byte tail
+picked from a table by its flags and ``bob_bit``, with a 0 byte for each
+leading digit position and absent ``bob_bit``, and drops those in one pass.
+The parser reads blocks of about ``_READ_BYTES`` of text, cut at line ends.
+It finds only the line ends, checks the fixed ``,f,f,f,f,f,`` tail before
+each line's ``bob_bit`` and end, and counts the separators of the block to
+rule out a stray one.  Only a block it rejects is read again line by line,
+to word the error for its first bad record.
 
 Aggregation into per-branch gains and error rates lives here: the simulator
 and ``ingest_records`` both return ``TallyCounts``, so in-memory runs and
@@ -54,11 +57,14 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 _READ_BYTES = 1 << 20
 
 _FLAG_COLUMNS = CSV_COLUMNS[1:6]
-# Records formatted at a time: bounds the byte matrix and its mask.
+# Records formatted at a time: bounds the byte matrix and its text.
 _FORMAT_ROWS = 1 << 16
-# 10**k for k = 1..19: an index has one digit more than the number of these
-# it reaches.
-_TENS = 10 ** np.arange(1, 20, dtype=np.uint64)
+# The 13 bytes after the index of a record whose code is its five flags plus
+# 32 where bob_bit is 1 and detected; 0 marks an absent bob_bit.
+_TAILS = np.array([
+    [*b",%d,%d,%d,%d,%d," % tuple(code >> k & 1 for k in range(5)),
+     48 + (code >> 5) if code & 16 else 0, 10] for code in range(64)],
+    dtype=np.uint8).view("V13")[:, 0]
 _INT64_MAX = np.uint64(np.iinfo(np.int64).max)
 _CANONICAL_INDEX = re.compile(r"0|[1-9][0-9]*")
 
@@ -204,51 +210,46 @@ def format_batch_csv(batch: RecordBatch) -> str:
         ValueError: if ``pulse_index`` is negative, or a flag, or ``bob_bit``
             where detected, is not 0 or 1.
     """
-    flags = np.empty((len(batch), 5), dtype=np.uint8)
+    code = np.zeros(len(batch), dtype=np.uint8)
     for k, name in enumerate(_FLAG_COLUMNS):
         column = getattr(batch, name)
         if np.any((column != 0) & (column != 1)):
             raise ValueError(f"{name} must be 0 or 1")
-        flags[:, k] = column
-    bob = batch.bob_bit
-    if np.any((flags[:, 4] == 1) & (bob != 0) & (bob != 1)):
+        code |= column.astype(np.uint8) << k
+    det, bob = batch.detected == 1, batch.bob_bit
+    if np.any(det & (bob != 0) & (bob != 1)):
         raise ValueError("bob_bit must be 0 or 1 where detected")
+    code |= (det & (bob == 1)).view(np.uint8) << 5
     index = np.ascontiguousarray(batch.pulse_index, dtype=np.int64)
     if np.any(index < 0):
         raise ValueError("pulse_index must be >= 0")
     index = index.view(np.uint64)
     return "".join(
-        _format_rows(index[lo:lo + _FORMAT_ROWS], flags[lo:lo + _FORMAT_ROWS],
-                     bob[lo:lo + _FORMAT_ROWS])
+        _format_rows(index[lo:lo + _FORMAT_ROWS], code[lo:lo + _FORMAT_ROWS])
         for lo in range(0, len(batch), _FORMAT_ROWS))
 
 
-def _format_rows(index: np.ndarray, flags: np.ndarray, bob: np.ndarray) -> str:
-    """CSV lines of checked columns (``index`` as uint64), laid out as rows
-    of a byte matrix.
+def _format_rows(index: np.ndarray, code: np.ndarray) -> str:
+    """CSV lines of checked records (``index`` as uint64, ``code`` as in
+    ``_TAILS``), laid out as rows of a byte matrix.
 
     Each row holds the pulse index right-aligned in a field as wide as the
-    widest index here, then the fixed ``,f,f,f,f,f,b\\n`` tail.  A mask drops
-    the padding and the ``bob_bit`` cells of undetected pulses.
+    widest index here, then the record's tail.  Leading positions of the
+    index and absent ``bob_bit`` cells hold 0, which one pass drops.
     """
-    n = index.size
-    det = flags[:, 4].astype(bool)
-    width = np.searchsorted(_TENS, index, side="right") + 1
-    digits = int(width.max())
-
-    rows = np.empty((n, digits + 13), dtype=np.uint8)
+    digits = len(str(int(index.max())))
+    rows = np.empty(index.size, dtype=[("index", np.uint8, digits),
+                                       ("tail", _TAILS.dtype)])
+    rows["tail"] = _TAILS[code]
     for col in range(digits - 1, -1, -1):
-        index, rows[:, col] = np.divmod(index, 10)
-    rows[:, :digits] += ord("0")
-    rows[:, digits:digits + 11:2] = ord(",")
-    rows[:, digits + 1:digits + 10:2] = flags + ord("0")
-    rows[:, digits + 11] = bob.astype(np.uint8) + ord("0")
-    rows[:, digits + 12] = ord("\n")
-
-    keep = np.ones(rows.shape, dtype=bool)
-    keep[:, :digits] = np.arange(digits) >= (digits - width)[:, None]
-    keep[:, digits + 11] = det
-    return str(rows[keep].data, "ascii")
+        quotient = index // 10
+        cell = (index - quotient * 10).astype(np.uint8)
+        # The units digit is always written; higher ones while the index lasts.
+        cell += 48 if col == digits - 1 else 48 * (index != 0).view(np.uint8)
+        rows["index"][:, col] = cell
+        index = quotient
+    rows = rows.view(np.uint8)
+    return str(rows[rows != 0].data, "ascii")
 
 
 @contextlib.contextmanager
@@ -284,52 +285,45 @@ def _parse_block(block: np.ndarray) -> RecordBatch | None:
         block = np.append(block, np.uint8(ord("\n")))
     if block.max() > ord("9"):
         return None
-    # Every byte below "0" separates fields: six commas, then a newline.
-    seps = np.flatnonzero(block < ord("0"))
-    if seps.size % 7:
-        return None
-    seps = seps.reshape(-1, 7)
-    kinds = block[seps]
-    if np.any(kinds[:, :6] != ord(",")) or np.any(kinds[:, 6] != ord("\n")):
-        return None
-    commas, ends = seps[:, :6], seps[:, 6]
-    n = ends.size
-    starts = np.empty(n, dtype=np.intp)
+    ends = np.flatnonzero(block == ord("\n"))
+    starts = np.empty(ends.size, dtype=np.intp)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    digits = commas[:, 0] - starts
-    bob_len = ends - commas[:, 5] - 1
-    if (digits.min() < 1 or digits.max() > 19 or bob_len.max() > 1
-            or np.any(np.diff(commas, axis=1) != 2)
+    # Every byte below "0" separates fields.  The checks below find seven
+    # in each line, six commas and its end, so the count rules out others.
+    # A line shorter than the 13 bytes of "0,0,0,0,0,0,\n" is not gathered.
+    if (np.count_nonzero(block < ord("0")) != 7 * ends.size
+            or (ends - starts).min() < 12):
+        return None
+    # A line ends in ",f,f,f,f,f," then bob_bit, if present, and "\n".
+    bob = block[ends - 1]
+    present = bob != ord(",")
+    first = ends - 11 - present  # the first comma
+    # Those 11 bytes of every line in one gather, then one row per byte.
+    windows = np.ndarray(block.size - 10, dtype="V11", buffer=block, strides=(1,))
+    tail = windows[first].view(np.uint8).reshape(-1, 11).T.copy()
+    flags = tail[1::2] - ord("0")
+    digits = first - starts
+    if (digits.min() < 1 or digits.max() > 19 or flags.max() > 1
+            or np.any(tail[::2] != ord(","))
+            or not np.array_equal(present, flags[4] == 1)
+            or np.any(present & (bob - ord("0") > 1))
             or np.any((digits > 1) & (block[starts] == ord("0")))):
-        return None
-    flags = block[commas[:, :5] + 1] - ord("0")
-    present = bob_len == 1
-    if flags.max() > 1 or not np.array_equal(present, flags[:, 4] == 1):
-        return None
-    bob = np.full(n, -1, dtype=np.int8)
-    bob[present] = block[commas[present, 5] + 1] - ord("0")
-    if bob.max() > 1:
         return None
 
     # Up to 19 digits fit in uint64 without wrapping.
-    index = np.zeros(n, dtype=np.uint64)
-    last = commas[:, 0] - 1
+    index = np.zeros(ends.size, dtype=np.uint64)
+    last = first - 1
     for k in range(int(digits.max())):
         value = (block[np.maximum(last - k, 0)] - ord("0")).astype(np.uint64)
         value[digits <= k] = 0
         index += value * np.uint64(10 ** k)
     if index.max() > _INT64_MAX:
         return None
-    flags = flags.astype(np.int8)
-    return RecordBatch(
-        pulse_index=index.astype(np.int64),
-        alice_click=flags[:, 0].copy(),
-        alice_basis=flags[:, 1].copy(),
-        alice_bit=flags[:, 2].copy(),
-        bob_basis=flags[:, 3].copy(),
-        detected=flags[:, 4].copy(),
-        bob_bit=bob)
+    bob = bob.view(np.int8) - ord("0")
+    bob[~present] = -1
+    return RecordBatch(index.astype(np.int64),
+                       *(column.copy() for column in flags.view(np.int8)), bob)
 
 
 def _file_blocks(fh) -> Iterator[bytes]:

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bounds import ObservedStatistics
-from .errors import ParameterError
+from .errors import ParameterError, excerpt
 from .records import RecordBatch, TallyCounts
 from .statistics import (DEFAULT_THETA_NODES, BranchDistributions,
                          PulsePairParams, ThresholdDetector, theta_nodes)
@@ -255,7 +255,7 @@ def monte_carlo_run(params: PulsePairParams, det: ThresholdDetector,
             order (for CSV streaming); aggregation happens either way.
     """
     if n_pulses < 1:
-        raise ParameterError(f"n_pulses must be >= 1 (got {n_pulses})")
+        raise ParameterError(f"n_pulses must be >= 1 (got {excerpt(n_pulses)})")
     n_chunks = (n_pulses + _CHUNK_PULSES - 1) // _CHUNK_PULSES
     streams = np.random.SeedSequence(seed).spawn(n_chunks)
     tallies = TallyCounts()

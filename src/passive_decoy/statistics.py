@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError, TruncationError, excerpt
 
 PHOTON_NUMBER_CAP = 60
 DEFAULT_N_MAX = 20
@@ -142,7 +142,8 @@ class BranchDistributions:
 
 def _check_integer(name: str, value: int) -> None:
     if not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer (got {value!r})")
+        raise ParameterError(
+            f"{name} must be an integer (got {excerpt(repr(value), str)})")
 
 
 def theta_nodes(count: int) -> np.ndarray:
@@ -152,10 +153,10 @@ def theta_nodes(count: int) -> np.ndarray:
     """
     _check_integer("nodes", count)
     if count < 4:
-        raise ParameterError(f"theta node count must be >= 4 (got {count})")
+        raise ParameterError(f"theta node count must be >= 4 (got {excerpt(count)})")
     if count > MAX_THETA_NODES:
         raise ParameterError(
-            f"theta node count must be <= {MAX_THETA_NODES} (got {count})")
+            f"theta node count must be <= {MAX_THETA_NODES} (got {excerpt(count)})")
     return 2.0 * np.pi * (np.arange(count) + 0.5) / count
 
 
@@ -184,7 +185,7 @@ def branch_distributions(params: PulsePairParams, det: ThresholdDetector,
     _check_integer("n_max", n_max)
     if not 2 <= n_max <= PHOTON_NUMBER_CAP:
         raise ParameterError(
-            f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {n_max})")
+            f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {excerpt(n_max)})")
     _check_integer("nodes", nodes)  # before a float count meets the cache
     if params.nu <= 0.0:
         theta_nodes(nodes)  # no phase integral, but the count is still checked

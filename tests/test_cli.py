@@ -489,6 +489,10 @@ class TestConfigFiles:
          f"source.mu1 must be a finite number (got '{'x' * 32}…' (100000 chars))"),
         (("search", "t"), nested_array(500), ["optimize"],
          f"search.t must be an array of 3 items (got {'[' * 32}… (1000 chars))"),
+        (("numerics", "n_max"), 10 ** 3999, ["distribution"],
+         f"numerics: n_max must be within [2, 60] (got 1{'0' * 31}… (4000 chars))"),
+        (("seed",), -10 ** 3999, ["simulate"],
+         f"seed must be >= 0 (got -{'1' + '0' * 30}… (4001 chars))"),
     ], ids=["seed_negative", "seed_bool", "seed_flag_negative",
             "search_axis_not_numeric", "n_max_not_integer", "e0_zero",
             "mu1_bool", "eta_d_bool", "misalignment_bool", "q_bool",
@@ -498,7 +502,8 @@ class TestConfigFiles:
             "search_axis_one_point", "search_intensity_negative",
             "search_t_beyond_one", "scan_length_nan", "scan_length_overflows",
             "scan_length_infinite_after_valid", "scan_length_negative_not_first",
-            "theta_nodes_above_bound", "mu1_long_string", "search_deep_array"])
+            "theta_nodes_above_bound", "mu1_long_string", "search_deep_array",
+            "n_max_4000_digits", "seed_4000_digits"])
     def test_bad_field_exits_validation(self, tmp_path, capsys, path, value,
                                         command, field):
         doc = read_json(REPO_CONFIG)

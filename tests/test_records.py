@@ -160,6 +160,25 @@ class TestFormatOracle:
             else:
                 assert format_batch_csv(batch) == reference_format(batch)
 
+    @pytest.mark.parametrize("detected", [0, 1], ids=["none", "all"])
+    def test_slice_with_one_detection_state(self, detected):
+        batch = random_batch(np.random.default_rng(detected), np.arange(5000))
+        batch.detected[:] = detected
+        batch.bob_bit[:] = np.where(detected, batch.alice_bit, -1)
+        assert format_batch_csv(batch) == reference_format(batch)
+
+    def test_index_widens_at_a_slice_boundary(self, tmp_path):
+        # Row 65,536, the first of the second slice, is the first 7-digit
+        # index.
+        start = 10 ** 6 - records._FORMAT_ROWS
+        batch = random_batch(np.random.default_rng(8), np.arange(start, start + 70_000))
+        text = format_batch_csv(batch)
+        assert text == reference_format(batch)
+        assert text.split("\n")[records._FORMAT_ROWS].startswith("1000000,")
+        path = tmp_path / "records.csv"
+        assert write_records_csv(str(path), [batch]) == 70_000
+        assert path.read_text() == CSV_HEADER + "\n" + text
+
     def test_empty_batch(self):
         batch = random_batch(np.random.default_rng(0), [])
         assert format_batch_csv(batch) == reference_format(batch) == ""
@@ -197,6 +216,34 @@ class TestBulkIndexParse:
         path.write_text(CSV_HEADER + "\n" + line)
         with pytest.raises(IngestError, match=f"^record 1: .* range \\(got {index}\\)$"):
             ingest_records(path)
+
+
+@pytest.mark.parametrize("body,problem", [
+    (b"1\n", "expected 7 fields, got 1"),
+    (b",\n", "expected 7 fields, got 2"),
+    (b"0,0,0,0,0,\n", "expected 7 fields, got 6"),
+    (b"0,0,0,0,0,1, \n", "field 'bob_bit' must be 0 or 1 (got ' ')"),
+    (b"1,0,0,0,0,0,0,\n", "expected 7 fields, got 8"),
+    # The second line lacks the comma the first has too many of, so the
+    # block has seven separators a line.
+    (b"1,0,0,0,0,0,0,\n123,0,0,0,00,\n", "expected 7 fields, got 8"),
+    # Seven separators a line, in lines shorter than a record: the first
+    # ends before its tail would start, the second is the whole block.
+    (b"7,,,,,,\n0,0,0,0,0,0,\n", "field 'alice_click' must be 0 or 1 (got '')"),
+    (b",,,,,,\n", "field 'pulse_index' must be 0 or ASCII digits without a "
+     "sign, space or leading zero (got '')"),
+], ids=["digit", "comma", "one_byte_short", "space_bob_bit", "comma_in_index",
+        "comma_moved_between_lines", "first_line_shorter_than_a_tail",
+        "commas_only"])
+def test_misshapen_line_is_a_record_error(body, problem, tmp_path):
+    assert records._parse_block(np.frombuffer(body, dtype=np.uint8)) is None
+    path, out = tmp_path / "records.csv", tmp_path / "stats.json"
+    path.write_bytes(CSV_HEADER.encode() + b"\n" + body)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["ingest", str(path), "--out", str(out)])
+    assert (code, err.getvalue()) == (cli.EXIT_PARSE, f"error: record 1: {problem}\n")
+    assert not out.exists()
 
 
 class TestIngestValidation:
