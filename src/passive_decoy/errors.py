@@ -1,6 +1,9 @@
 """Exception types shared across the package, and how their messages quote
 the values they reject."""
 
+import math
+import sys
+
 
 class ParameterError(ValueError):
     """An input value violates its documented domain."""
@@ -34,7 +37,13 @@ class IngestError(ValueError):
 def excerpt(text, show=repr) -> str:
     """``show(text)``, cut to 32 characters and the length if longer; a
     ``text`` that is not a string is shown by its cut ``str``, which for a
-    value decoded from JSON is its ``repr``."""
+    value decoded from JSON is its ``repr``.  An integer that may have more
+    digits than Python converts to ``str`` is shown by its size in bits."""
+    if isinstance(text, int):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        bits = abs(text).bit_length()
+        if limit and bits * math.log10(2) >= limit:
+            return f"{'a negative' if text < 0 else 'an'} integer of {bits} bits"
     if not isinstance(text, str):
         text, show = str(text), str
     if len(text) <= 32:

@@ -10,11 +10,15 @@ and optical misalignment contributions; ``ChannelModel.yields`` returns
 both.  The Monte Carlo path samples the same physics pulse by pulse and
 returns ``TallyCounts``, the counts ingested experimental data are
 aggregated through, serving as an independent cross-check of both the photon
-statistics and the analytic yields.
+statistics and the analytic yields.  Every detector is a threshold detector,
+so the sampler draws no photon counts: per pulse it draws the relative phase,
+and each detector's click is one uniform draw against the probability that
+its Poisson-thinned photon count and its dark count are both zero.  Double
+clicks are kept and settled by a fair coin.
 
 Reproducibility: one seed drives a run; pulses are processed in fixed-size
-chunks, each with its own deterministically derived substream, so results
-are identical no matter how chunks are scheduled.
+chunks, each with its own deterministically derived substream drawn in a
+fixed order, so results are identical no matter how chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -180,56 +184,61 @@ def predicted_statistics_over_lengths(dists: BranchDistributions,
 def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
                     ch: ChannelModel, start: int, size: int,
                     rng: np.random.Generator) -> RecordBatch:
-    # Draw order is part of the reproducibility contract; do not reorder.
-    # Buffers are reused; values keep the bits of tests/reference_kernels.py.
-    buf = rng.uniform(0.0, 2.0 * np.pi, size)  # theta
-    if params.nu > 0.0:
-        # params.gamma(theta), then nu * (1 - gamma): IEEE + and * commute.
-        np.cos(buf, out=buf)
-        buf *= params.xi
-        buf += params.mean_mode_a
-        buf /= params.nu
-        n_kept = rng.poisson(buf * params.nu)
-        np.subtract(1.0, buf, out=buf)
-        buf *= params.nu
-        m_mon = rng.poisson(buf)
-    else:
-        n_kept = m_mon = np.zeros(size, dtype=np.int64)
-    # 1 - (1 - eps) * (1 - eta) ** m_mon, from a table over the counts.
-    k = np.arange(int(m_mon.max()) + 1, dtype=np.int64)
-    np.take(1.0 - (1.0 - det.epsilon) * (1.0 - det.eta_d) ** k, m_mon,
-            out=buf, mode="clip")
-    del m_mon
-    alice_click = rng.random(size) < buf
+    # Threshold detectors see only whether their photon count is zero.  At a
+    # phase theta the counts at the monitor and at Bob's right and wrong
+    # detector are independent Poisson variables (splitting and thinning),
+    # so each click is one uniform draw u against the chance s that the
+    # detector stays silent: it clicks when u >= s, so s = 0 or 1 holds
+    # exactly.  Draw order is part of the reproducibility contract: theta,
+    # the monitor's u, four fair bits, the wrong and the right detector's u.
+    # Three float buffers are reused.
+    lam = rng.uniform(0.0, 2.0 * np.pi, size)  # theta
+    np.cos(lam, out=lam)
+    lam *= params.xi
+    lam += params.mean_mode_a  # nu * gamma(theta), photons in the kept mode
+    silent = np.subtract(params.nu, lam)  # photons to the monitor
+    silent *= -det.eta_d
+    np.exp(silent, out=silent)
+    silent *= 1.0 - det.epsilon
+    u = rng.random(size)
+    alice_click = u >= silent
 
-    alice_basis = rng.integers(0, 2, size, dtype=np.int8)
-    alice_bit = rng.integers(0, 2, size, dtype=np.int8)
-    bob_basis = rng.integers(0, 2, size, dtype=np.int8)
+    # Alice's basis and bit, Bob's basis and the double-click coin.
+    bits = rng.integers(0, 16, size, dtype=np.int8)
+    alice_basis = bits & 1
+    alice_bit = (bits >> 1) & 1
+    bob_basis = (bits >> 2) & 1
+    coin = np.right_shift(bits, 3, out=bits)
 
-    arrived = rng.binomial(n_kept, ch.transmission)
-    del n_kept
-    # Matching bases route photons to the bit's detector up to misalignment
-    # flips; mismatched bases scatter them half-half.
-    buf.fill(0.5)
-    buf[alice_basis == bob_basis] = ch.misalignment
-    to_wrong = rng.binomial(arrived, buf)
-    right, wrong = arrived > to_wrong, to_wrong > 0  # to_right > 0, to_wrong > 0
-    del arrived, to_wrong
-    bit0 = alice_bit == 0
-    click0 = np.where(bit0, right, wrong)
-    click1 = np.where(bit0, wrong, right)
+    # A photon goes to the wrong detector with probability p: misalignment
+    # in matching bases, 1/2 in the others (exact for a misalignment of 0 or
+    # 1/2).
+    lam *= -ch.transmission  # minus the mean photons arriving at Bob
+    np.equal(alice_basis, bob_basis, out=silent)
+    silent *= ch.misalignment - 0.5
+    silent += 0.5  # p
+    silent *= lam  # minus the wrong detector's mean
+    lam -= silent  # minus the right detector's mean
+    keep = 1.0 - ch.bob_detector.epsilon
+    for arr in (silent, lam):
+        np.exp(arr, out=arr)
+        arr *= keep
+    wrong = rng.random(out=u) >= silent
+    del silent
+    right = rng.random(out=u) >= lam
+    del lam, u
 
-    eps_b = ch.bob_detector.epsilon
-    click0 |= rng.random(out=buf) < eps_b
-    click1 |= rng.random(out=buf) < eps_b
-    coin = rng.integers(0, 2, size, dtype=np.int8)
-
-    detected = click0 | click1
-    bob_bit = np.full(size, -1, dtype=np.int8)
-    bob_bit[click1 & ~click0] = 1
-    bob_bit[click0 & ~click1] = 0
-    both = click0 & click1
-    bob_bit[both] = coin[both]
+    # Alice's bit from the right detector alone, its flip from the wrong one
+    # alone, the coin from both and -1 from neither, in int8 arithmetic.
+    detected = right | wrong
+    bob_bit = alice_bit ^ wrong.view(np.int8)
+    coin ^= bob_bit
+    coin &= right.view(np.int8)
+    coin &= wrong.view(np.int8)
+    bob_bit ^= coin
+    bob_bit += 1
+    bob_bit *= detected.view(np.int8)
+    bob_bit -= 1
 
     return RecordBatch(
         pulse_index=np.arange(start, start + size, dtype=np.int64),

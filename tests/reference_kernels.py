@@ -254,8 +254,9 @@ def scan_rate_vs_distance(point, det, ch_template, lengths,
 
 
 def simulate_chunk(params, det, ch, start, size, rng):
-    """``passive_decoy.simulate._simulate_chunk`` with its original
-    arithmetic: the same draws, each through a new temporary."""
+    """The photon-level sampler ``passive_decoy.simulate._simulate_chunk``
+    replaced: it draws the photon counts that the package's sampler thins
+    away, so it samples the same law through another random stream."""
     # Draw order is part of the reproducibility contract; do not reorder.
     theta = rng.uniform(0.0, 2.0 * np.pi, size)
     if params.nu > 0.0:

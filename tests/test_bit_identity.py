@@ -1,15 +1,17 @@
 """The bulk kernels give the bits of the element-at-a-time references.
 
-``branch_distributions``, ``key_rate``, ``rate_for_point``,
-``scan_rate_vs_distance`` and the Monte Carlo chunk sampler are compared with
-the forms kept in ``reference_kernels``.  Floats are compared through
-``repr``, ``hex`` or ``tobytes``, so a difference in the last bit, or in the
-sign of a zero, fails.
+``branch_distributions``, ``key_rate``, ``rate_for_point`` and
+``scan_rate_vs_distance`` are compared with the forms kept in
+``reference_kernels``.  Floats are compared through ``repr``, ``hex`` or
+``tobytes``, so a difference in the last bit, or in the sign of a zero,
+fails.  The Monte Carlo chunk sampler is compared with the photon-level
+sampler there in law, and exactly where a click probability is 0 or 1.
 """
 
 import itertools
 import math
 from dataclasses import asdict, replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from passive_decoy.simulate import _channel_yields, _simulate_chunk
 from passive_decoy.statistics import _node_cosines, theta_nodes
 
 from conftest import REFERENCE_DETECTOR
+from test_acceptance import MC_CROSS_CHECK_SETS
 from test_bounds import synthetic_sweep_points
 
 
@@ -347,20 +350,72 @@ def test_a_subset_of_lengths_gives_the_same_rows(picks):
     assert [row.rate.hex() for row in rows] == [FULL_SCAN[x].hex() for x in sorted(lengths)]
 
 
-def chunk_columns(params, det, ch, start, size, seed):
-    """Every column of one sampled chunk, as its dtype and bytes, from the
-    package's sampler and from the reference."""
-    def columns(fn):
-        batch = fn(params, det, ch, start, size, np.random.default_rng(seed))
-        return [(getattr(batch, name).dtype.str, getattr(batch, name).tobytes())
-                for name in CSV_COLUMNS]
-    return columns(_simulate_chunk), columns(ref.simulate_chunk)
+# The package samples each click from its Poisson-thinned probability and the
+# reference draws photon counts: the same law through different random
+# streams.  Their samples are compared by the count of each joint value of
+# the six record flags (alice_click, alice_basis, alice_bit, bob_basis and
+# detected take 2 values, bob_bit 3), cell by cell with a two-proportion z
+# test.  FALSE_ALARM is the chance that a sampler with the reference's law
+# fails one comparison, split over the cells (Bonferroni).
+FLAG_CELLS = 96
+FALSE_ALARM = 1e-5
+Z_LIMIT = NormalDist().inv_cdf(1.0 - FALSE_ALARM / (2 * FLAG_CELLS))
+
+
+def flag_counts(kernel, params, det, ch, pulses, seed):
+    """How often each joint value of the record flags occurs in ``pulses``
+    pulses sampled by ``kernel``, in chunks of at most 2^20."""
+    counts = np.zeros(FLAG_CELLS, dtype=np.int64)
+    for start in range(0, pulses, 2 ** 20):
+        batch = kernel(params, det, ch, start, min(2 ** 20, pulses - start),
+                       np.random.default_rng([seed, start]))
+        cell = batch.bob_bit + np.int64(1)
+        for name in CSV_COLUMNS[1:6]:
+            cell *= 2
+            cell += getattr(batch, name)
+        counts += np.bincount(cell, minlength=FLAG_CELLS)
+    return counts
+
+
+def assert_same_law(params, det, ch, pulses):
+    new = flag_counts(_simulate_chunk, params, det, ch, pulses, seed=1)
+    old = flag_counts(ref.simulate_chunk, params, det, ch, pulses, seed=2)
+    assert new.size == old.size == FLAG_CELLS
+    pooled = (new + old) / (2 * pulses)
+    se = np.sqrt(pooled * (1.0 - pooled) * 2 / pulses)
+    # A cell that neither or both samples always hit has se 0 and no difference.
+    z = np.divide((new - old) / pulses, se, out=np.zeros(FLAG_CELLS), where=se > 0)
+    worst = int(np.abs(z).argmax())
+    assert abs(z[worst]) < Z_LIMIT, (worst, new[worst], old[worst], z[worst])
+
+
+def assert_forced_flags(batch, params, det, ch):
+    """Every flag whose click probability is exactly 0 or 1 takes the value it
+    forces, and ``detected`` says whether ``bob_bit`` is present."""
+    for name in CSV_COLUMNS[1:6]:
+        assert np.isin(getattr(batch, name), (0, 1)).all(), name
+    detected = batch.detected == 1
+    assert np.array_equal(detected, batch.bob_bit >= 0)
+    if det.epsilon == 1.0:
+        assert batch.alice_click.all()
+    elif det.epsilon == 0.0 and (det.eta_d == 0.0
+                                 or params.nu - params.mean_mode_a == 0.0):
+        assert not batch.alice_click.any()
+    bob = ch.bob_detector
+    if bob.epsilon == 1.0:
+        assert detected.all()
+    elif bob.epsilon == 0.0 and (ch.transmission == 0.0 or params.mean_mode_a == 0.0):
+        assert not detected.any()
+    elif bob.epsilon == 0.0 and ch.misalignment == 0.0:
+        # Only the right detector can click in matching bases.
+        sifted = detected & (batch.alice_basis == batch.bob_basis)
+        assert np.array_equal(batch.bob_bit[sifted], batch.alice_bit[sifted])
 
 
 class TestSimulateChunk:
     def test_random_cases(self):
         rng = np.random.default_rng(1048576)
-        for case in range(60):
+        for case in range(6):
             # A few bright sources so that the monitor counts run high.
             scale = 30.0 if case % 10 == 0 else 3.0
             params = PulsePairParams(mu1=rng.uniform(0.0, scale),
@@ -375,10 +430,9 @@ class TestSimulateChunk:
                                                eta_d=rng.uniform(0.0, 1.0)),
                 misalignment=rng.uniform(0.0, 0.5),
                 alice_internal_loss_db=rng.uniform(0.0, 10.0))
-            size = int(rng.integers(1, 20000))
-            start = int(rng.integers(0, 2 ** 40))
-            new, old = chunk_columns(params, det, ch, start, size, case)
-            assert new == old, (case, params, det, ch, size)
+            # Unused size and start draws keep each case's parameters as before.
+            rng.integers(1, 20000), rng.integers(0, 2 ** 40)
+            assert_same_law(params, det, ch, 2 ** 18)
 
     @pytest.mark.parametrize("size", [1, 7, 65537])
     @pytest.mark.parametrize("mu1,mu2,t", [
@@ -386,6 +440,8 @@ class TestSimulateChunk:
         (0.64, 0.08, 0.0),   # t = 0
         (0.64, 0.08, 1.0),   # t = 1
         (2.0, 1.5, 0.5),
+        (0.64, 0.0, 0.0),    # nothing in the kept mode
+        (0.64, 0.0, 1.0),    # nothing to the monitor
     ])
     def test_edges(self, mu1, mu2, t, size):
         params = PulsePairParams(mu1=mu1, mu2=mu2, t=t)
@@ -396,13 +452,26 @@ class TestSimulateChunk:
                                                         (0.0, 0.5)):
             ch = bright_channel(bob_detector=bob, misalignment=misalignment,
                                 alice_internal_loss_db=0.0)
-            new, old = chunk_columns(params, det, ch, 3, size, size)
-            assert new == old, (det, bob, misalignment)
+            for kernel in (_simulate_chunk, ref.simulate_chunk):
+                batch = kernel(params, det, ch, 3, size, np.random.default_rng(size))
+                assert np.array_equal(batch.pulse_index, np.arange(3, 3 + size))
+                assert_forced_flags(batch, params, det, ch)
 
     @pytest.mark.parametrize("misalignment", [0.0, 0.5])
     def test_full_chunk(self, misalignment):
-        params = PulsePairParams(mu1=0.64, mu2=0.08, t=0.5)
-        new, old = chunk_columns(params, ThresholdDetector(**REFERENCE_DETECTOR),
-                                 bright_channel(misalignment=misalignment),
-                                 2 ** 20, 2 ** 20, 11)
-        assert new == old
+        assert_same_law(PulsePairParams(mu1=0.64, mu2=0.08, t=0.5),
+                        ThresholdDetector(**REFERENCE_DETECTOR),
+                        bright_channel(misalignment=misalignment), 2 ** 20)
+
+    @pytest.mark.parametrize("name", sorted(MC_CROSS_CHECK_SETS))
+    def test_criterion_5_sets(self, name):
+        assert_same_law(*MC_CROSS_CHECK_SETS[name], 2 ** 20)
+
+    def test_bright_misaligned_link(self):
+        # Several photons often reach Bob: both detectors click on about one
+        # pulse in 18 and one sifted pulse in 120, so the coin counts.
+        ch = ChannelModel(fiber_length_km=0.0, alice_internal_loss_db=1.0,
+                          bob_detector=ThresholdDetector(epsilon=1e-5, eta_d=0.5),
+                          misalignment=0.02)
+        assert_same_law(PulsePairParams(mu1=2.0, mu2=1.5, t=0.5),
+                        ThresholdDetector(**REFERENCE_DETECTOR), ch, 2 ** 20)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from passive_decoy import load_run_config, monte_carlo_run
 from passive_decoy.cli import (EXIT_NO_KEY, EXIT_OK, EXIT_PARSE,
                                EXIT_UNEXPECTED, EXIT_VALIDATION, main)
 from passive_decoy.records import CSV_HEADER
@@ -40,6 +42,14 @@ def config_path(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def unsifted_seed(config_path):
+    """The first seed whose one-pulse run of the config has no sifted pulse."""
+    config = load_run_config(config_path)
+    return next(seed for seed in itertools.count()
+                if monte_carlo_run(config.source, config.alice_detector,
+                                   config.channel, 1, seed).sifted == 0)
 
 
 class TestDistributionCommand:
@@ -188,7 +198,8 @@ class TestSimulateAndIngest:
                                                 capsys):
         records = tmp_path / "one.csv"
         assert run_cli("simulate", "--config", config_path, "--pulses", "1",
-                       "--seed", "3", "--out", str(records)) == EXIT_PARSE
+                       "--seed", str(unsifted_seed(config_path)),
+                       "--out", str(records)) == EXIT_PARSE
         assert "no sifted pulses" in capsys.readouterr().err
         assert not records.exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
@@ -265,7 +276,8 @@ class TestSimulateAndIngest:
         real, link = tmp_path / "real.csv", tmp_path / "link.csv"
         real.write_text("old")
         link.symlink_to(real)
-        argv = ["simulate", "--config", config_path, "--seed", "3",
+        argv = ["simulate", "--config", config_path,
+                "--seed", str(unsifted_seed(config_path)),
                 "--out", str(link), "--stats-out", str(tmp_path / "s.json")]
         assert run_cli(*argv, "--pulses", "1") == EXIT_PARSE
         assert real.read_text() == "old"

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from passive_decoy import (ChannelModel, ObservedStatistics, ParameterError,
-                           PulsePairParams, ThresholdDetector,
+from passive_decoy import (ChannelModel, Numerics, ObservedStatistics,
+                           ParameterError, PulsePairParams, ThresholdDetector,
                            branch_distributions, fit_channel_to_observed,
                            hom_coincidence_scan, monte_carlo_run,
                            predicted_statistics)
@@ -153,6 +153,42 @@ class TestMonteCarlo:
                 ("eq_nc", mc.e_nc * mc.q_nc, pred.e_nc * pred.q_nc)):
             se = math.sqrt(want_p * (1 - want_p) / sifted)
             assert abs(got - want_p) < 4 * se + 1e-12, label
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bright_workload_matches_analytic_forward_model(self, seed):
+        # The brightest corner of the configs the benchmark's mc_records
+        # workload draws, where the double clicks that the analytic model
+        # leaves out count most, at its 3 * 2^19 pulses and |z| < 4 check.
+        source = PulsePairParams(0.8, 0.15, 0.5)
+        monitor = ThresholdDetector(1e-5, 0.4)
+        ch = make_channel(fiber_length_km=0.0, alice_internal_loss_db=0.0,
+                          bob_detector=ThresholdDetector(5e-6, 0.4),
+                          misalignment=0.03)
+        pred = predicted_statistics(branch_distributions(source, monitor), ch)
+        tallies = monte_carlo_run(source, monitor, ch, 3 << 19, seed)
+        mc = tallies.to_observed()
+        for label, got, want in (
+                ("q_c", mc.q_c, pred.q_c),
+                ("q_nc", mc.q_nc, pred.q_nc),
+                ("em_c", mc.e_c * mc.q_c, pred.e_c * pred.q_c),
+                ("em_nc", mc.e_nc * mc.q_nc, pred.e_nc * pred.q_nc)):
+            z = abs(got - want) / math.sqrt(want * (1.0 - want) / tallies.sifted)
+            assert z < 4.0, (label, z)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Numerics(n_max=10 ** 5000),
+     "n_max must be within [2, 60] (got an integer of 16610 bits)"),
+    (lambda: monte_carlo_run(PulsePairParams(0.64, 0.08, 0.5),
+                             ThresholdDetector(1e-5, 0.1), make_channel(),
+                             n_pulses=-10 ** 5000, seed=1),
+     "n_pulses must be >= 1 (got a negative integer of 16610 bits)"),
+])
+def test_integer_too_long_for_str_is_named_by_its_size(call, message):
+    # 5001 digits, past the 4300 that Python converts to str by default.
+    with pytest.raises(ParameterError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestHomScan:
