@@ -6,25 +6,21 @@ Exit codes: 0 success (for ``keyrate``: a positive rate), 2 validation
 failure, 3 parse failure, 4 no key (rate is zero), 1 any other error, such
 as an output path that cannot be written.  Every failure prints one
 ``error:`` line to stderr.
+
+Handlers import what they run when they run: ``--help`` loads no numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
-from .bounds import key_rate
-from .config import RunConfig, _load_json, load_run_config
 from .errors import (ConfigError, DegenerateSourceError, IngestError,
                      ParameterError, TruncationError, excerpt)
-from .optimize import AxisSpec, SearchSpace, optimize, scan_rate_vs_distance
-from .records import ingest_records, open_records_csv, replace_on_success
-from .reports import (distribution_csv, distribution_report, dump_json,
-                      keyrate_report_payload, observed_from_payload,
-                      optimization_csv, optimization_payload, scan_csv,
-                      scan_payload, stats_payload)
-from .simulate import monte_carlo_run
-from .statistics import branch_distributions
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -39,6 +35,7 @@ def _save_text(text: str, path: str) -> None:
 
 
 def _write_text(text: str, out_path: str | None) -> None:
+    from .reports import replace_on_success
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
@@ -47,6 +44,7 @@ def _write_text(text: str, out_path: str | None) -> None:
 
 
 def _dists_from_config(config: RunConfig):
+    from .statistics import branch_distributions
     num = config.numerics
     return branch_distributions(config.source, config.alice_detector,
                                 num.n_max, nodes=num.theta_nodes,
@@ -54,6 +52,8 @@ def _dists_from_config(config: RunConfig):
 
 
 def cmd_distribution(args: argparse.Namespace) -> int:
+    from .config import load_run_config
+    from .reports import distribution_csv, distribution_report, dump_json
     config = load_run_config(args.config)
     dists = _dists_from_config(config)
     if args.format == "csv":
@@ -64,6 +64,9 @@ def cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def cmd_keyrate(args: argparse.Namespace) -> int:
+    from .bounds import key_rate
+    from .config import _load_json, load_run_config
+    from .reports import dump_json, keyrate_report_payload, observed_from_payload
     config = load_run_config(args.config)
     stats = observed_from_payload(_load_json(args.stats, "stats file"))
     dists = _dists_from_config(config)
@@ -74,6 +77,10 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .config import load_run_config
+    from .records import open_records_csv
+    from .reports import dump_json, replace_on_success, stats_payload
+    from .simulate import monte_carlo_run
     config = load_run_config(args.config)
     if config.channel is None:
         raise ConfigError("simulate requires a channel section in the config")
@@ -106,6 +113,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .records import ingest_records
+    from .reports import dump_json, stats_payload
     try:
         tallies = ingest_records(args.records)
     except OSError as exc:
@@ -116,9 +125,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _search_space(config: RunConfig) -> SearchSpace:
+def _search_space(config: RunConfig):
     """The config's search ranges as a SearchSpace; range errors name the
     ``search.<axis>`` they come from."""
+    from .optimize import AxisSpec, SearchSpace
     s = config.search
     axes = {}
     for name in ("mu1", "mu2", "t"):
@@ -139,6 +149,9 @@ def _search_space(config: RunConfig) -> SearchSpace:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from .config import load_run_config
+    from .optimize import optimize
+    from .reports import dump_json, optimization_csv, optimization_payload
     config = load_run_config(args.config)
     if config.channel is None:
         raise ConfigError("optimize requires a channel section in the config")
@@ -153,6 +166,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .config import load_run_config
+    from .optimize import scan_rate_vs_distance
+    from .reports import dump_json, scan_csv, scan_payload
     config = load_run_config(args.config)
     if config.channel is None:
         raise ConfigError("scan requires a channel section in the config")

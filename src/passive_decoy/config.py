@@ -19,8 +19,8 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 from .bounds import KeyRateParams
+from .channel import ChannelModel
 from .errors import ConfigError, IngestError, ParameterError, excerpt
-from .simulate import ChannelModel
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
                          MAX_THETA_NODES, PHOTON_NUMBER_CAP, PulsePairParams,
                          ThresholdDetector)

@@ -18,8 +18,8 @@ import numpy as np
 
 from .bounds import KeyRateParams, key_rate, key_rate_rows
 from .errors import DegenerateSourceError, ParameterError, excerpt
-from .simulate import (ChannelModel, predicted_statistics,
-                       predicted_statistics_over_lengths)
+from .channel import (ChannelModel, predicted_statistics,
+                      predicted_statistics_over_lengths)
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
                          BranchDistributions, PulsePairParams,
                          ThresholdDetector, branch_distributions)

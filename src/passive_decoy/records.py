@@ -27,19 +27,12 @@ Aggregation into per-branch gains and error rates lives here: the simulator
 and ``ingest_records`` both return ``TallyCounts``, so in-memory runs and
 re-ingested files go through the exact same counting and division code,
 making round trips bit-identical.
-
-File outputs go through ``replace_on_success``: they are written to a
-temporary sibling and renamed over the target only once complete, so a
-failed run leaves no partial output.
 """
 
 from __future__ import annotations
 
 import contextlib
-import errno
-import os
 import re
-import stat
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -47,6 +40,7 @@ import numpy as np
 
 from .bounds import ObservedStatistics
 from .errors import IngestError, excerpt
+from .reports import replace_on_success
 
 CSV_COLUMNS = ("pulse_index", "alice_click", "alice_basis", "alice_bit",
                "bob_basis", "detected", "bob_bit")
@@ -153,54 +147,6 @@ class TallyCounts:
         e_c = self.err_click / self.det_click if self.det_click else 0.0
         e_nc = self.err_noclick / self.det_noclick if self.det_noclick else 0.0
         return ObservedStatistics(q_c=q_c, e_c=e_c, q_nc=q_nc, e_nc=e_nc)
-
-
-@contextlib.contextmanager
-def replace_on_success(*paths: str | None) -> Iterator[list]:
-    """Paths to write ``paths`` through, replacing them only after the block.
-
-    Yields one path per target (``None`` stays ``None``).  A target that is
-    a regular file or does not exist, after following symlinks, gets a
-    temporary sibling: an empty file beside it, so that ``os.replace`` stays
-    on one filesystem, with the target's permission bits if it exists.
-    When the block returns, every temporary file replaces its target; when
-    it raises, every temporary file is removed and no such target is
-    touched.  A process killed midway can leave a temporary sibling behind,
-    never a partial target.  Any other target (a device such as
-    ``/dev/null``, a FIFO) is yielded as it is and written directly.
-    """
-    temps, renames = [], []
-    try:
-        for i, path in enumerate(paths):
-            if path is None:
-                temps.append(None)
-                continue
-            # Errors name the target, as opening it directly would.
-            if os.path.isdir(path):
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
-                                        path)
-            target = os.path.realpath(path)
-            if os.path.exists(target) and not os.path.isfile(target):
-                temps.append(path)
-                continue
-            head, tail = os.path.split(target)
-            temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
-            try:
-                open(temp, "wb").close()
-                renames.append((temp, target))
-                if os.path.exists(target):
-                    os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
-            except OSError as exc:
-                raise OSError(exc.errno, exc.strerror, path) from None
-            temps.append(temp)
-        yield temps
-        for temp, target in renames:
-            os.replace(temp, target)
-    except BaseException:
-        for temp, _ in renames:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
-        raise
 
 
 def format_batch_csv(batch: RecordBatch) -> str:

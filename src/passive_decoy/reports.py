@@ -8,16 +8,23 @@ header row and fixed column order.
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import json
+import os
+import stat
 import sys
 from dataclasses import asdict
 from importlib import resources
+from typing import TYPE_CHECKING, Iterator
 
 from .bounds import KeyRateParams, KeyRateReport, ObservedStatistics
-from .config import RunConfig
 from .errors import IngestError, ParameterError
-from .optimize import OptimizationResult, ScanRow
 from .statistics import BranchDistributions, branch_mean, g2
+
+if TYPE_CHECKING:
+    from .config import RunConfig
+    from .optimize import OptimizationResult, ScanRow
 
 SCHEMA_NAMES = ("run_config", "observed_stats", "distribution_report",
                 "keyrate_report", "optimization_result", "rate_scan")
@@ -25,6 +32,54 @@ SCHEMA_NAMES = ("run_config", "observed_stats", "distribution_report",
 
 def dump_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+@contextlib.contextmanager
+def replace_on_success(*paths: str | None) -> Iterator[list]:
+    """Paths to write ``paths`` through, replacing them only after the block.
+
+    Yields one path per target (``None`` stays ``None``).  A target that is
+    a regular file or does not exist, after following symlinks, gets a
+    temporary sibling: an empty file beside it, so that ``os.replace`` stays
+    on one filesystem, with the target's permission bits if it exists.
+    When the block returns, every temporary file replaces its target; when
+    it raises, every temporary file is removed and no such target is
+    touched.  A process killed midway can leave a temporary sibling behind,
+    never a partial target.  Any other target (a device such as
+    ``/dev/null``, a FIFO) is yielded as it is and written directly.
+    """
+    temps, renames = [], []
+    try:
+        for i, path in enumerate(paths):
+            if path is None:
+                temps.append(None)
+                continue
+            # Errors name the target, as opening it directly would.
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                        path)
+            target = os.path.realpath(path)
+            if os.path.exists(target) and not os.path.isfile(target):
+                temps.append(path)
+                continue
+            head, tail = os.path.split(target)
+            temp = os.path.join(head, f".{tail}.{os.getpid()}-{i}.tmp")
+            try:
+                open(temp, "wb").close()
+                renames.append((temp, target))
+                if os.path.exists(target):
+                    os.chmod(temp, stat.S_IMODE(os.stat(target).st_mode))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+            temps.append(temp)
+        yield temps
+        for temp, target in renames:
+            os.replace(temp, target)
+    except BaseException:
+        for temp, _ in renames:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+        raise
 
 
 def load_schema(name: str) -> dict:

@@ -20,7 +20,7 @@ from passive_decoy import (DegenerateSourceError, KeyRateParams, KeyRateReport,
                            ScanRow, TruncationError, binary_entropy)
 from passive_decoy.bounds import _guard_denominator
 from passive_decoy.records import RecordBatch
-from passive_decoy.simulate import BACKGROUND_ERROR_RATE
+from passive_decoy.channel import BACKGROUND_ERROR_RATE
 from passive_decoy.statistics import (_LOG_FACTORIAL, DEFAULT_N_MAX,
                                       DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
                                       PHOTON_NUMBER_CAP, BranchDistributions,

@@ -27,7 +27,8 @@ from passive_decoy.bounds import key_rate_rows
 from passive_decoy.optimize import rate_for_point
 from passive_decoy.records import CSV_COLUMNS
 from passive_decoy.reports import dump_json, keyrate_report_payload
-from passive_decoy.simulate import _channel_yields, _simulate_chunk
+from passive_decoy.channel import _channel_yields
+from passive_decoy.simulate import _simulate_chunk
 from passive_decoy.statistics import _node_cosines, theta_nodes
 
 from conftest import REFERENCE_DETECTOR

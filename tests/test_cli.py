@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -173,6 +174,22 @@ class TestSimulateAndIngest:
         assert (a / "records.csv").read_bytes() == (b / "records.csv").read_bytes()
         rel = lambda p: p.read_text().replace(str(p.parent), "")
         assert rel(a / "stats.json") == rel(b / "stats.json")
+
+    @pytest.mark.parametrize("pulses, digest", [
+        (1, "b8dfefd65204a85b19315cbed399dee520488877f2f5df99b01857a415bb36be"),
+        (2 ** 20 + 1,
+         "5f001ecda0602855a05dc09024beb42827a40506bcc0643e866d1862ea5cff63"),
+        (3 * 2 ** 19,
+         "8e859a0f336e9411a22ee6f99eebed0d0458ba38c496d210879accde4fc7899f"),
+    ])
+    def test_records_keep_their_bytes(self, tmp_path, pulses, digest):
+        # Chunk i draws from SeedSequence(seed).spawn(n)[i]: these digests
+        # were written when every chunk's seed was spawned up front.
+        out = tmp_path / "records.csv"
+        assert run_cli("simulate", "--config", REPO_CONFIG, "--pulses",
+                       str(pulses), "--seed", "20261019", "--out", str(out),
+                       "--stats-out", os.devnull) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_zero_pulses_rejected(self, config_path, tmp_path):
         assert run_cli("simulate", "--config", config_path, "--pulses", "0",

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from passive_decoy import (IngestError, PulsePairParams, ThresholdDetector,
-                           cli, ingest_records, write_records_csv)
+                           cli, ingest_records, simulate, write_records_csv)
 from passive_decoy.records import CSV_HEADER, TallyCounts, format_batch_csv
 from passive_decoy.simulate import _simulate_chunk
 
@@ -74,7 +74,8 @@ def test_simulate_sink_writes_a_chunk_in_slices(tmp_path, monkeypatch):
         peaks.append(peak["mb"])
         return TallyCounts.from_batch(batch)
 
-    monkeypatch.setattr(cli, "monte_carlo_run", one_chunk)
+    # The simulate command looks the sampler up in its module when it runs.
+    monkeypatch.setattr(simulate, "monte_carlo_run", one_chunk)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "source": REFERENCE_SOURCE, "alice_detector": REFERENCE_DETECTOR,
@@ -87,6 +88,32 @@ def test_simulate_sink_writes_a_chunk_in_slices(tmp_path, monkeypatch):
     assert code == 0
     assert peaks[0] <= SINK_HEAP_MB
     assert out.read_text() == CSV_HEADER + "\n" + format_batch_csv(batch)
+
+
+class FirstChunk(Exception):
+    pass
+
+
+def test_chunk_seeds_are_made_as_chunks_start(monkeypatch):
+    # The heap held when the first chunk starts is the same for a run of 2
+    # chunks and one of 65,536: no seed is made ahead of its chunk.
+    held = []
+
+    def first_chunk(*args):
+        held.append(tracemalloc.get_traced_memory()[0])
+        raise FirstChunk
+
+    monkeypatch.setattr(simulate, "_simulate_chunk", first_chunk)
+    for pulses in (2 ** 21, 2 ** 36):
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstChunk):
+                simulate.monte_carlo_run(PulsePairParams(**REFERENCE_SOURCE),
+                                         ThresholdDetector(**REFERENCE_DETECTOR),
+                                         bright_channel(), pulses, 1)
+        finally:
+            tracemalloc.stop()
+    assert held[1] - held[0] <= 4096
 
 
 def test_write_records_csv_writes_a_chunk_in_slices(tmp_path):
