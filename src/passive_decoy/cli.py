@@ -13,6 +13,7 @@ Handlers import what they run when they run: ``--help`` loads no numpy.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING
 
@@ -41,6 +42,13 @@ def _write_text(text: str, out_path: str | None) -> None:
     else:
         with replace_on_success(out_path) as (temp,):
             _save_text(text, temp)
+
+
+def _same_regular_file(first: str, second: str) -> bool:
+    try:  # symlinks followed; a file still to be made counts as regular
+        return os.path.samefile(first, second) and os.path.isfile(first)
+    except OSError:
+        return os.path.realpath(first) == os.path.realpath(second)
 
 
 def _dists_from_config(config: RunConfig):
@@ -93,6 +101,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ParameterError(f"--pulses must be >= 1 (got {excerpt(args.pulses)})")
 
     stats_out = None if args.stats_out in (None, "-") else args.stats_out
+    if stats_out is not None and _same_regular_file(args.out, stats_out):
+        raise ParameterError("--out and --stats-out name the same file "
+                             f"(got {excerpt(args.out)})")
     # File outputs are written to temporary siblings, which replace the
     # targets only once both are complete: a failed run, including one with
     # no sifted pulses, writes neither (devices and FIFOs are written as

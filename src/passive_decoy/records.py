@@ -59,6 +59,7 @@ _TAILS = np.array([
     [*b",%d,%d,%d,%d,%d," % tuple(code >> k & 1 for k in range(5)),
      48 + (code >> 5) if code & 16 else 0, 10] for code in range(64)],
     dtype=np.uint8).view("V13")[:, 0]
+_ROW_BYTES = 19 + _TAILS.itemsize  # the widest row: 19 digits and a tail
 _INT64_MAX = np.uint64(np.iinfo(np.int64).max)
 _CANONICAL_INDEX = re.compile(r"0|[1-9][0-9]*")
 
@@ -149,8 +150,11 @@ class TallyCounts:
         return ObservedStatistics(q_c=q_c, e_c=e_c, q_nc=q_nc, e_nc=e_nc)
 
 
-def format_batch_csv(batch: RecordBatch) -> str:
+def format_batch_csv(batch: RecordBatch, scratch: np.ndarray | None = None) -> str:
     """Render a batch as CSV lines (no header).
+
+    ``scratch``, a ``(2, _FORMAT_ROWS * _ROW_BYTES)`` uint8 array if given,
+    holds each slice's byte matrix and keep-mask in place of new ones.
 
     Raises:
         ValueError: if ``pulse_index`` is negative, or a flag, or ``bob_bit``
@@ -171,11 +175,12 @@ def format_batch_csv(batch: RecordBatch) -> str:
         raise ValueError("pulse_index must be >= 0")
     index = index.view(np.uint64)
     return "".join(
-        _format_rows(index[lo:lo + _FORMAT_ROWS], code[lo:lo + _FORMAT_ROWS])
+        _format_rows(index[lo:lo + _FORMAT_ROWS], code[lo:lo + _FORMAT_ROWS],
+                     scratch)
         for lo in range(0, len(batch), _FORMAT_ROWS))
 
 
-def _format_rows(index: np.ndarray, code: np.ndarray) -> str:
+def _format_rows(index: np.ndarray, code: np.ndarray, scratch=None) -> str:
     """CSV lines of checked records (``index`` as uint64, ``code`` as in
     ``_TAILS``), laid out as rows of a byte matrix.
 
@@ -184,8 +189,10 @@ def _format_rows(index: np.ndarray, code: np.ndarray) -> str:
     index and absent ``bob_bit`` cells hold 0, which one pass drops.
     """
     digits = len(str(int(index.max())))
-    rows = np.empty(index.size, dtype=[("index", np.uint8, digits),
-                                       ("tail", _TAILS.dtype)])
+    size = index.size * (digits + _TAILS.itemsize)
+    scratch = np.empty((2, size), np.uint8) if scratch is None else scratch
+    flat, keep = scratch[0, :size], scratch[1, :size].view(bool)
+    rows = flat.view([("index", np.uint8, digits), ("tail", _TAILS.dtype)])
     rows["tail"] = _TAILS[code]
     for col in range(digits - 1, -1, -1):
         quotient = index // 10
@@ -194,8 +201,7 @@ def _format_rows(index: np.ndarray, code: np.ndarray) -> str:
         cell += 48 if col == digits - 1 else 48 * (index != 0).view(np.uint8)
         rows["index"][:, col] = cell
         index = quotient
-    rows = rows.view(np.uint8)
-    return str(rows[rows != 0].data, "ascii")
+    return str(flat[np.not_equal(flat, 0, out=keep)].data, "ascii")
 
 
 @contextlib.contextmanager
@@ -204,9 +210,10 @@ def open_records_csv(path: str) -> Iterator[Callable[[RecordBatch], None]]:
     appends the lines of a batch; the file is closed after the block."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        # A slice at a time: the text held stays small.
+        # A slice at a time, through one reused byte matrix and keep-mask.
+        scratch = np.empty((2, _FORMAT_ROWS * _ROW_BYTES), dtype=np.uint8)
         yield lambda batch: fh.writelines(
-            map(format_batch_csv, batch.slices(_FORMAT_ROWS)))
+            format_batch_csv(part, scratch) for part in batch.slices(_FORMAT_ROWS))
 
 
 def write_records_csv(path: str, batches: Iterable[RecordBatch]) -> int:

@@ -9,9 +9,10 @@ uniform draw against the probability that the detector's Poisson-thinned
 photon count and its dark count are both zero.  Double clicks are kept and
 settled by a fair coin.
 
-Reproducibility: one seed drives a run; pulses are processed in fixed-size
-chunks, each with its own deterministically derived substream drawn in a
-fixed order, so results are identical no matter how chunks are scheduled.
+Reproducibility: one seed drives a run.  The chunk defines the stream: each
+chunk of ``_CHUNK_PULSES`` pulses draws from its own substream in a fixed
+order.  The block is only the unit of work: chunks are sampled, tallied and
+sunk ``_BLOCK_PULSES`` pulses at a time, and the block size reaches no output.
 """
 
 from __future__ import annotations
@@ -23,18 +24,31 @@ import numpy as np
 
 from .channel import ChannelModel, predicted_statistics  # noqa: F401 (re-exported)
 from .errors import ParameterError, excerpt
-from .records import RecordBatch, TallyCounts
+from .records import _FORMAT_ROWS, RecordBatch, TallyCounts
 from .statistics import (DEFAULT_THETA_NODES, PulsePairParams,
-                         ThresholdDetector, theta_nodes)
+                         ThresholdDetector, _check_integer, theta_nodes)
 
-# Pulses per Monte Carlo chunk.  Fixed (not configurable) so that the stream
-# of random draws, and therefore every output, is independent of scheduling.
+# Pulses per Monte Carlo chunk.  Fixed (not configurable): the chunk defines
+# the stream of random draws, and therefore every output.
 _CHUNK_PULSES = 1 << 20
+# Pulses sampled, tallied and sunk at a time: a multiple of 4, so that each
+# block's 4-bit draws start on a fresh 32-bit draw, as one call's would.
+_BLOCK_PULSES = _FORMAT_ROWS
+
+
+def _chunk_draws(stream: np.random.SeedSequence, size: int) -> list[np.random.Generator]:
+    """Generators on a chunk's stream advanced to its sections (theta, the
+    monitor's u, the 4-bit draw, the wrong and the right detector's u): the
+    draws of one generator, each section taken in one call.  A float takes
+    a 64-bit output; an ``int8`` takes a byte of a 32-bit half of one."""
+    skip = (size + 7) // 8  # outputs of the 4-bit draw
+    return [np.random.Generator(np.random.PCG64(stream).advance(offset))
+            for offset in (0, size, 2 * size, 2 * size + skip, 3 * size + skip)]
 
 
 def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
                     ch: ChannelModel, start: int, size: int,
-                    rng: np.random.Generator) -> RecordBatch:
+                    draws: Sequence[np.random.Generator], buffers=None) -> RecordBatch:
     # Threshold detectors see only whether their photon count is zero.  At a
     # phase theta the counts at the monitor and at Bob's right and wrong
     # detector are independent Poisson variables (splitting and thinning),
@@ -42,20 +56,22 @@ def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
     # detector stays silent: it clicks when u >= s, so s = 0 or 1 holds
     # exactly.  Draw order is part of the reproducibility contract: theta,
     # the monitor's u, four fair bits, the wrong and the right detector's u.
-    # Three float buffers are reused.
-    lam = rng.uniform(0.0, 2.0 * np.pi, size)  # theta
+    # ``draws`` come from ``_chunk_draws``, at pulse ``start``; ``buffers`` is reused.
+    theta_u, monitor_u, bits_draw, wrong_u, right_u = draws
+    lam, silent, u = (np.empty((3, size)) if buffers is None else buffers)[:, :size]
+    theta_u.random(out=lam)
+    lam *= 2.0 * np.pi  # theta, with the bits of uniform(0, 2 pi)
     np.cos(lam, out=lam)
     lam *= params.xi
     lam += params.mean_mode_a  # nu * gamma(theta), photons in the kept mode
-    silent = np.subtract(params.nu, lam)  # photons to the monitor
+    np.subtract(params.nu, lam, out=silent)  # photons to the monitor
     silent *= -det.eta_d
     np.exp(silent, out=silent)
     silent *= 1.0 - det.epsilon
-    u = rng.random(size)
-    alice_click = u >= silent
+    alice_click = monitor_u.random(out=u) >= silent
 
     # Alice's basis and bit, Bob's basis and the double-click coin.
-    bits = rng.integers(0, 16, size, dtype=np.int8)
+    bits = bits_draw.integers(0, 16, size, dtype=np.int8)
     alice_basis = bits & 1
     alice_bit = (bits >> 1) & 1
     bob_basis = (bits >> 2) & 1
@@ -74,10 +90,8 @@ def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
     for arr in (silent, lam):
         np.exp(arr, out=arr)
         arr *= keep
-    wrong = rng.random(out=u) >= silent
-    del silent
-    right = rng.random(out=u) >= lam
-    del lam, u
+    wrong = wrong_u.random(out=u) >= silent
+    right = right_u.random(out=u) >= lam
 
     # Alice's bit from the right detector alone, its flip from the wrong one
     # alone, the coin from both and -1 from neither, in int8 arithmetic.
@@ -111,24 +125,32 @@ def monte_carlo_run(params: PulsePairParams, det: ThresholdDetector,
     through the same code that aggregates ingested records.
 
     Args:
-        record_sink: optional callable receiving each RecordBatch in pulse
-            order (for CSV streaming); aggregation happens either way.
+        record_sink: optional callable receiving the records in pulse
+            order, a block at a time; aggregation happens either way.
     """
+    _check_integer("n_pulses", n_pulses)
+    _check_integer("seed", seed)
     if n_pulses < 1:
         raise ParameterError(f"n_pulses must be >= 1 (got {excerpt(n_pulses)})")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0 (got {excerpt(seed)})")
+    n_pulses, seed = int(n_pulses), int(seed)  # PCG64.advance takes no np.int64
     n_chunks = (n_pulses + _CHUNK_PULSES - 1) // _CHUNK_PULSES
     tallies = TallyCounts()
+    buffers = np.empty((3, min(n_pulses, _BLOCK_PULSES)))
     for i in range(n_chunks):
         start = i * _CHUNK_PULSES
         size = min(_CHUNK_PULSES, n_pulses - start)
         # SeedSequence(seed).spawn(n_chunks)[i], made only as chunk i starts.
-        stream = np.random.SeedSequence(seed, spawn_key=(i,))
-        batch = _simulate_chunk(params, det, ch, start, size,
-                                np.random.default_rng(stream))
-        tallies.merge(TallyCounts.from_batch(batch))
-        if record_sink is not None:
-            record_sink(batch)
-        del batch  # not held while the next chunk is sampled
+        draws = _chunk_draws(np.random.SeedSequence(seed, spawn_key=(i,)), size)
+        for lo in range(start, start + size, _BLOCK_PULSES):
+            batch = _simulate_chunk(params, det, ch, lo,
+                                    min(_BLOCK_PULSES, start + size - lo),
+                                    draws, buffers)
+            tallies.merge(TallyCounts.from_batch(batch))
+            if record_sink is not None:
+                record_sink(batch)
+            del batch  # not held while the next block is sampled
     return tallies
 
 

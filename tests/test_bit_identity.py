@@ -28,7 +28,7 @@ from passive_decoy.optimize import rate_for_point
 from passive_decoy.records import CSV_COLUMNS
 from passive_decoy.reports import dump_json, keyrate_report_payload
 from passive_decoy.channel import _channel_yields
-from passive_decoy.simulate import _simulate_chunk
+from passive_decoy.simulate import _chunk_draws, _simulate_chunk
 from passive_decoy.statistics import _node_cosines, theta_nodes
 
 from conftest import REFERENCE_DETECTOR
@@ -363,13 +363,25 @@ FALSE_ALARM = 1e-5
 Z_LIMIT = NormalDist().inv_cdf(1.0 - FALSE_ALARM / (2 * FLAG_CELLS))
 
 
+def package_chunk(params, det, ch, start, size, entropy):
+    """The package's sampler on the positioned draws of
+    ``SeedSequence(entropy)``, which are one generator's draws on it."""
+    return _simulate_chunk(params, det, ch, start, size,
+                           _chunk_draws(np.random.SeedSequence(entropy), size))
+
+
+def reference_chunk(params, det, ch, start, size, entropy):
+    return ref.simulate_chunk(params, det, ch, start, size,
+                              np.random.default_rng(entropy))
+
+
 def flag_counts(kernel, params, det, ch, pulses, seed):
     """How often each joint value of the record flags occurs in ``pulses``
     pulses sampled by ``kernel``, in chunks of at most 2^20."""
     counts = np.zeros(FLAG_CELLS, dtype=np.int64)
     for start in range(0, pulses, 2 ** 20):
         batch = kernel(params, det, ch, start, min(2 ** 20, pulses - start),
-                       np.random.default_rng([seed, start]))
+                       [seed, start])
         cell = batch.bob_bit + np.int64(1)
         for name in CSV_COLUMNS[1:6]:
             cell *= 2
@@ -379,8 +391,8 @@ def flag_counts(kernel, params, det, ch, pulses, seed):
 
 
 def assert_same_law(params, det, ch, pulses):
-    new = flag_counts(_simulate_chunk, params, det, ch, pulses, seed=1)
-    old = flag_counts(ref.simulate_chunk, params, det, ch, pulses, seed=2)
+    new = flag_counts(package_chunk, params, det, ch, pulses, seed=1)
+    old = flag_counts(reference_chunk, params, det, ch, pulses, seed=2)
     assert new.size == old.size == FLAG_CELLS
     pooled = (new + old) / (2 * pulses)
     se = np.sqrt(pooled * (1.0 - pooled) * 2 / pulses)
@@ -453,8 +465,8 @@ class TestSimulateChunk:
                                                         (0.0, 0.5)):
             ch = bright_channel(bob_detector=bob, misalignment=misalignment,
                                 alice_internal_loss_db=0.0)
-            for kernel in (_simulate_chunk, ref.simulate_chunk):
-                batch = kernel(params, det, ch, 3, size, np.random.default_rng(size))
+            for kernel in (package_chunk, reference_chunk):
+                batch = kernel(params, det, ch, 3, size, size)
                 assert np.array_equal(batch.pulse_index, np.arange(3, 3 + size))
                 assert_forced_flags(batch, params, det, ch)
 

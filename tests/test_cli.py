@@ -25,6 +25,13 @@ from passive_decoy.reports import load_schema
 from conftest import REFERENCE_RATE
 
 REPO_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
+# sha256 of the records that simulate writes for the reference config and
+# seed 20261019, by --pulses.
+RECORD_DIGESTS = {
+    1: "b8dfefd65204a85b19315cbed399dee520488877f2f5df99b01857a415bb36be",
+    2 ** 20 + 1: "5f001ecda0602855a05dc09024beb42827a40506bcc0643e866d1862ea5cff63",
+    3 * 2 ** 19: "8e859a0f336e9411a22ee6f99eebed0d0458ba38c496d210879accde4fc7899f",
+}
 REPO_STATS = str(Path(__file__).resolve().parents[1] / "configs" / "reference_stats.json")
 
 
@@ -175,21 +182,26 @@ class TestSimulateAndIngest:
         rel = lambda p: p.read_text().replace(str(p.parent), "")
         assert rel(a / "stats.json") == rel(b / "stats.json")
 
-    @pytest.mark.parametrize("pulses, digest", [
-        (1, "b8dfefd65204a85b19315cbed399dee520488877f2f5df99b01857a415bb36be"),
-        (2 ** 20 + 1,
-         "5f001ecda0602855a05dc09024beb42827a40506bcc0643e866d1862ea5cff63"),
-        (3 * 2 ** 19,
-         "8e859a0f336e9411a22ee6f99eebed0d0458ba38c496d210879accde4fc7899f"),
-    ])
+    @pytest.mark.parametrize("pulses, digest", RECORD_DIGESTS.items())
     def test_records_keep_their_bytes(self, tmp_path, pulses, digest):
         # Chunk i draws from SeedSequence(seed).spawn(n)[i]: these digests
-        # were written when every chunk's seed was spawned up front.
+        # were written when every chunk's seed was spawned up front, and
+        # each chunk was sampled in one piece.
         out = tmp_path / "records.csv"
         assert run_cli("simulate", "--config", REPO_CONFIG, "--pulses",
                        str(pulses), "--seed", "20261019", "--out", str(out),
                        "--stats-out", os.devnull) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("block", [1000, 2 ** 16, 2 ** 20])
+    def test_block_size_is_not_part_of_the_stream(self, tmp_path, monkeypatch,
+                                                  block):
+        # Two chunks, the second of 2^19 pulses: with 1000 its last block
+        # is short, with 2^20 each chunk is one block.
+        from passive_decoy import simulate
+        monkeypatch.setattr(simulate, "_BLOCK_PULSES", block)
+        self.test_records_keep_their_bytes(tmp_path, 3 * 2 ** 19,
+                                           RECORD_DIGESTS[3 * 2 ** 19])
 
     def test_zero_pulses_rejected(self, config_path, tmp_path):
         assert run_cli("simulate", "--config", config_path, "--pulses", "0",
@@ -287,6 +299,32 @@ class TestSimulateAndIngest:
         assert read_json(stats)["provenance"]["source_path"] == str(records)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "r.csv", "s.json"]
+
+    def test_one_file_for_records_and_stats_is_refused(self, config_path,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+        # The stats file would replace the records.  The paths are judged
+        # before any sampling, with symlinks followed.
+        from passive_decoy import simulate
+        monkeypatch.setattr(simulate, "monte_carlo_run", None)
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        link.symlink_to(real)
+        for out, stats in ((real, real), (link, real), (real, link)):
+            for exists in (False, True):
+                if exists:
+                    real.write_text("old")
+                assert run_cli("simulate", "--config", config_path,
+                               "--pulses", "100", "--seed", "3", "--out", str(out),
+                               "--stats-out", str(stats)) == EXIT_VALIDATION
+                err = capsys.readouterr().err
+                assert "--out and --stats-out name the same file" in err
+                assert real.read_text() == "old" if exists else not real.exists()
+                real.unlink(missing_ok=True)
+
+    def test_one_device_for_records_and_stats_is_allowed(self, config_path):
+        assert run_cli("simulate", "--config", config_path, "--pulses", "100",
+                       "--seed", "3", "--out", os.devnull,
+                       "--stats-out", os.devnull) == EXIT_OK
 
     def test_symlinked_out_replaces_the_file_it_points_to(self, config_path,
                                                           tmp_path):

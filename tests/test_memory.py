@@ -1,9 +1,10 @@
 """Heap bounds of the click-record path, measured with ``tracemalloc``.
 
-Sampling a chunk, writing it through ``simulate``'s record sink or
-``write_records_csv`` and ingesting a file each work through blocks of a
-fixed size, so their heap peaks do not grow with the chunk or the file.
-numpy reports its array buffers to ``tracemalloc``, so the peaks count them.
+A Monte Carlo run written through the records writer, a batch written
+through ``simulate``'s record sink or ``write_records_csv``, and ingesting a
+file each work through blocks of a fixed size, so their heap peaks do not
+grow with the chunk, the run or the file.  numpy reports its array buffers
+to ``tracemalloc``, so the peaks count them.
 """
 
 import contextlib
@@ -15,8 +16,9 @@ import pytest
 
 from passive_decoy import (IngestError, PulsePairParams, ThresholdDetector,
                            cli, ingest_records, simulate, write_records_csv)
-from passive_decoy.records import CSV_HEADER, TallyCounts, format_batch_csv
-from passive_decoy.simulate import _simulate_chunk
+from passive_decoy.records import (CSV_HEADER, TallyCounts, format_batch_csv,
+                                   open_records_csv)
+from passive_decoy.simulate import _chunk_draws, _simulate_chunk
 
 from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE
 from test_bit_identity import bright_channel
@@ -24,7 +26,9 @@ from test_records import random_batch
 
 MB = 2 ** 20
 CHUNK = 2 ** 20
-CHUNK_HEAP_MB = 40
+# Two chunks, the second of one block and 3 pulses.
+RUN_PULSES = 2 ** 20 + 2 ** 16 + 3
+RUN_HEAP_MB = 12
 SINK_HEAP_MB = 16
 INGEST_HEAP_MB = 20
 
@@ -44,9 +48,12 @@ def heap_peak():
 
 
 def sample_chunk(size=CHUNK, seed=5):
+    """One chunk sampled in one piece, with the draws of
+    ``default_rng(seed)``."""
     return _simulate_chunk(PulsePairParams(**REFERENCE_SOURCE),
                            ThresholdDetector(**REFERENCE_DETECTOR),
-                           bright_channel(), 0, size, np.random.default_rng(seed))
+                           bright_channel(), 0, size,
+                           _chunk_draws(np.random.SeedSequence(seed), size))
 
 
 def canonical_records(n, seed=3):
@@ -55,11 +62,15 @@ def canonical_records(n, seed=3):
     return (CSV_HEADER + "\n" + format_batch_csv(batch)).encode()
 
 
-def test_sampling_a_chunk():
-    with heap_peak() as peak:
-        batch = sample_chunk()
-    assert len(batch) == CHUNK
-    assert peak["mb"] <= CHUNK_HEAP_MB
+def test_a_run_samples_tallies_and_writes_in_blocks(tmp_path):
+    # The writer opens inside the measurement, so its buffers count too.
+    with heap_peak() as peak, open_records_csv(str(tmp_path / "r.csv")) as write:
+        tallies = simulate.monte_carlo_run(PulsePairParams(**REFERENCE_SOURCE),
+                                           ThresholdDetector(**REFERENCE_DETECTOR),
+                                           bright_channel(), RUN_PULSES, 5,
+                                           record_sink=write)
+    assert tallies.pulses == RUN_PULSES
+    assert peak["mb"] <= RUN_HEAP_MB
 
 
 def test_simulate_sink_writes_a_chunk_in_slices(tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ from passive_decoy import (ChannelModel, Numerics, ObservedStatistics,
                            branch_distributions, fit_channel_to_observed,
                            hom_coincidence_scan, monte_carlo_run,
                            predicted_statistics)
+from passive_decoy import simulate
 
 from conftest import channel_truth
 from test_cli import REPO_CONFIG, read_json
@@ -126,6 +127,25 @@ class TestMonteCarlo:
         with pytest.raises(ParameterError):
             monte_carlo_run(reference_params, reference_detector, make_channel(), 0, 1)
 
+    @pytest.mark.parametrize("n_pulses, seed, message", [
+        (1e6, 1, "n_pulses must be an integer (got 1000000.0)"),
+        (100, -1, "seed must be >= 0 (got -1)"),
+        (100, 1.5, "seed must be an integer (got 1.5)"),
+    ])
+    def test_names_a_bad_count_or_seed(
+            self, reference_params, reference_detector, n_pulses, seed, message):
+        with pytest.raises(ParameterError) as err:
+            monte_carlo_run(reference_params, reference_detector, make_channel(),
+                            n_pulses, seed)
+        assert str(err.value) == message
+
+    def test_numpy_integers_count_as_integers(self, reference_params,
+                                              reference_detector):
+        ch = make_channel()
+        assert (monte_carlo_run(reference_params, reference_detector, ch,
+                                np.int64(3000), np.uint32(7))
+                == monte_carlo_run(reference_params, reference_detector, ch, 3000, 7))
+
     def test_dead_source_and_receiver_never_click(self):
         params = PulsePairParams(0.0, 0.0, 0.5)
         det = ThresholdDetector(0.0, 0.1)
@@ -174,6 +194,31 @@ class TestMonteCarlo:
                 ("em_nc", mc.e_nc * mc.q_nc, pred.e_nc * pred.q_nc)):
             z = abs(got - want) / math.sqrt(want * (1.0 - want) / tallies.sifted)
             assert z < 4.0, (label, z)
+
+
+class TestDrawRule:
+    """A chunk's generators from ``_chunk_draws``, each drawn a block at a
+    time, give the draws of one generator on the chunk's stream, each
+    section taken in one call: theta, the monitor's u, the 4-bit draw, the
+    wrong and the right detector's u."""
+
+    @pytest.mark.parametrize("size", [1, 7, 9, 2 ** 16 - 1, 2 ** 16 + 3,
+                                      2 ** 19, 2 ** 20])
+    def test_positioned_draws_are_one_generators_draws(self, size):
+        stream = np.random.SeedSequence(20261019, spawn_key=(3,))
+        one = np.random.default_rng(stream)
+        expected = [one.uniform(0.0, 2.0 * np.pi, size), one.random(size),
+                    one.integers(0, 16, size, dtype=np.int8), one.random(size),
+                    one.random(size)]
+        theta, monitor, bits, wrong, right = simulate._chunk_draws(stream, size)
+        blocks = []
+        for lo in range(0, size, simulate._BLOCK_PULSES):
+            n = min(simulate._BLOCK_PULSES, size - lo)
+            blocks.append([theta.random(n) * (2.0 * np.pi), monitor.random(n),
+                           bits.integers(0, 16, n, dtype=np.int8),
+                           wrong.random(n), right.random(n)])
+        for want, got in zip(expected, zip(*blocks)):
+            assert np.concatenate(got).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("call, message", [
