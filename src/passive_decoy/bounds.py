@@ -202,8 +202,10 @@ def _bound_chain(heads, stats, params: KeyRateParams, ops) -> dict:
     # Single-photon error rate e1, bounded only for a certified yield: one
     # clause per branch (subtracting the certified background error mass) and
     # one combining both branches through the totals; the smallest applies
-    # (the first on a tie), clamped below at zero.
-    no_yield = y1_lower <= 0.0
+    # (the first on a tie), clamped below at zero.  A yield whose product
+    # with a clause's coefficient underflows to zero is not certified either.
+    no_yield = ((y1_lower <= 0.0) | (pc1 * y1_lower == 0.0)
+                | (pnc1 * y1_lower == 0.0) | (background_den * y1_lower == 0.0))
     y1_div = select(no_yield, 1.0, y1_lower)
     clauses = ((e_c * q_c - pc0 * y0_lower * e0) / (pc1 * y1_div),
                (e_nc * q_nc - pnc0 * y0_lower * e0) / (pnc1 * y1_div),
@@ -235,12 +237,6 @@ def _bound_chain(heads, stats, params: KeyRateParams, ops) -> dict:
     }
 
 
-def _python_value(value):
-    if isinstance(value, tuple):
-        return tuple(_python_value(v) for v in value)
-    return value.item() if isinstance(value, np.generic) else value
-
-
 def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
              params: KeyRateParams = KeyRateParams()) -> KeyRateReport:
     """Run the full bound chain and form the secret key rate.
@@ -250,7 +246,8 @@ def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
     contributing negatively are dropped from the total.  If the single-photon
     error bound reaches 1/2 or no single-photon yield can be certified, the
     privacy-amplification factor is clamped to zero and flagged rather than
-    extrapolated.
+    extrapolated.  A yield too small to divide by, one whose product with an
+    e1 clause's coefficient underflows to zero, counts as not certified.
 
     The chain runs in Python floats.  ``key_rate_rows`` runs the same chain
     over arrays of observations and gives each row's ``r_total`` bit for bit
@@ -262,16 +259,9 @@ def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
         DegenerateSourceError: if an elimination denominator is below
             ``DEGENERATE_DENOMINATOR_TOL``.
     """
-    heads = (dists.p_click[:3], dists.p_noclick[:3], dists.p_total[:3])
+    heads = [p[:3].tolist() for p in (dists.p_click, dists.p_noclick, dists.p_total)]
     stats = (obs.q_c, obs.e_c, obs.q_nc, obs.e_nc, obs.q_t, obs.e_t)
-    try:
-        c = _bound_chain([h.tolist() for h in heads], stats, params, _FLOAT_OPS)
-    except ZeroDivisionError:
-        # A product that underflows to zero divides by zero.  Over numpy
-        # scalars that gives inf or nan with a RuntimeWarning instead of an
-        # exception, as this chain always has.
-        c = {k: _python_value(v)
-             for k, v in _bound_chain(heads, stats, params, _FLOAT_OPS).items()}
+    c = _bound_chain(heads, stats, params, _FLOAT_OPS)
     no_yield = c["no_yield"]
     diagnostics = {
         "q": params.q,

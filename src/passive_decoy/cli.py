@@ -99,6 +99,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ParameterError(f"--seed must be >= 0 (got {excerpt(seed)})")
     if args.pulses < 1:
         raise ParameterError(f"--pulses must be >= 1 (got {excerpt(args.pulses)})")
+    if args.out == "-":
+        raise ParameterError("--out must name a file: records are not written "
+                             "to stdout")
 
     stats_out = None if args.stats_out in (None, "-") else args.stats_out
     if stats_out is not None and _same_regular_file(args.out, stats_out):

@@ -21,8 +21,8 @@ from .errors import DegenerateSourceError, ParameterError, excerpt
 from .channel import (ChannelModel, predicted_statistics,
                       predicted_statistics_over_lengths)
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
-                         BranchDistributions, PulsePairParams,
-                         ThresholdDetector, branch_distributions)
+                         PulsePairParams, ThresholdDetector,
+                         branch_distributions)
 
 SHRINK_FACTOR = 3.0
 
@@ -105,40 +105,31 @@ class OptimizationResult:
     all_zero: bool
 
 
-def _score(dists: BranchDistributions, channel: ChannelModel,
-           key_params: KeyRateParams) -> tuple[float, str]:
-    """Predicted rate of one source over one channel, with its flag.
-
-    A source with no decoy information (factorized) scores zero, flagged
-    "degenerate"; one with no certified single-photon yield keeps its rate,
-    flagged "no_yield".
-    """
-    obs = predicted_statistics(dists, channel)
-    try:
-        report = key_rate(dists, obs, key_params)
-    except DegenerateSourceError:
-        return 0.0, "degenerate"
-    if report.diagnostics["no_single_photon_yield"]:
-        return float(report.r_total), "no_yield"
-    return float(report.r_total), ""
-
-
 def rate_for_point(mu1: float, mu2: float, t: float,
                    space: SearchSpace) -> tuple[float, str]:
-    """Predicted rate at one source point; degeneracies score zero, flagged.
+    """Predicted rate at one source point, with its flag.
 
     A grid may legitimately touch configurations with no decoy information,
     no certified single-photon yield or an invalid source; those are worth
-    zero to the search, not an abort.
+    zero to the search, not an abort.  An invalid source scores zero, flagged
+    "invalid"; one with no decoy information (factorized) scores zero,
+    flagged "degenerate"; one with no certified single-photon yield keeps its
+    rate, flagged "no_yield".
     """
     try:
         params = PulsePairParams(mu1=mu1, mu2=mu2, t=t, overlap=space.overlap)
         dists = branch_distributions(params, space.alice_detector, space.n_max,
                                      nodes=space.theta_nodes,
                                      tail_tol=space.tail_tol)
-        return _score(dists, space.channel, space.key_params)
+        obs = predicted_statistics(dists, space.channel)
+        report = key_rate(dists, obs, space.key_params)
+    except DegenerateSourceError:
+        return 0.0, "degenerate"
     except ParameterError:
         return 0.0, "invalid"
+    if report.diagnostics["no_single_photon_yield"]:
+        return float(report.r_total), "no_yield"
+    return float(report.r_total), ""
 
 
 def _evaluate_grid(level: int, axes: tuple[AxisSpec, AxisSpec, AxisSpec],
@@ -217,9 +208,9 @@ def scan_rate_vs_distance(point: tuple[float, float, float],
     bits that ``key_rate`` on ``predicted_statistics`` at that one length
     gives, so a row does not depend on which other lengths are scanned.  A
     degenerate source scores zero at every length.  Errors are raised in the
-    order a length-by-length evaluation meets them: from the first length
-    that ``ChannelModel`` or the ``ObservedStatistics`` range checks reject,
-    the lengths are evaluated one at a time, which raises that length's error.
+    order a length-by-length evaluation meets them: the lengths before the
+    first one that ``ChannelModel`` or the ``ObservedStatistics`` range
+    checks reject are evaluated first, then that length's error is raised.
     """
     if len(lengths) == 0:
         raise ParameterError("lengths must be non-empty")
@@ -239,8 +230,8 @@ def scan_rate_vs_distance(point: tuple[float, float, float],
                                   e_nc[:valid], key_params).tolist()
         except DegenerateSourceError:
             rates = [0.0] * valid
-    for length in ordered[valid:]:
-        ch = replace(ch_template, fiber_length_km=length)
-        rates.append(_score(dists, ch, key_params)[0])
+    if valid < len(ordered):  # raises the first rejected length's error
+        predicted_statistics(dists, replace(ch_template,
+                                            fiber_length_km=ordered[valid]))
     return [ScanRow(length_km=length, rate=rate)
             for length, rate in zip(ordered, rates)]

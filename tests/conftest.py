@@ -11,6 +11,11 @@ REFERENCE_SOURCE = dict(mu1=0.64, mu2=0.08, t=0.5)
 REFERENCE_DETECTOR = dict(epsilon=1.2e-5, eta_d=0.10)
 REFERENCE_OBSERVED = dict(q_c=2.54e-6, e_c=0.0613, q_nc=8.18e-5, e_nc=0.0555)
 REFERENCE_RATE = 1.50e-5
+# Gains so small, on the reference source, that the certified single-photon
+# yield is subnormal and its products with the e1 clauses' coefficients
+# underflow to zero.
+UNDERFLOW_OBSERVED = dict(q_c=6.784e-321, e_c=0.20216467322520487,
+                          q_nc=2.3526e-319, e_nc=0.10002609181006616)
 
 
 @pytest.fixture(scope="session")

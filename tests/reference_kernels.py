@@ -152,7 +152,10 @@ def key_rate(dists, obs, params=KeyRateParams()):
     comb = {b: max(v, 0.0) for b, v in comb_raw.items()}
 
     entropy_clamped = False
-    no_yield = y1l <= 0.0
+    # A yield whose product with a clause's coefficient underflows to zero
+    # is not certified: the clause could not divide by it.
+    no_yield = y1l <= 0.0 or any(coeff * y1l == 0.0
+                                 for coeff in (pc[1], pnc[1], background_den))
     e1_value = None
     raw_clauses = None
     active_clause = None

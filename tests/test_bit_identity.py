@@ -31,7 +31,7 @@ from passive_decoy.channel import _channel_yields
 from passive_decoy.simulate import _chunk_draws, _simulate_chunk
 from passive_decoy.statistics import _node_cosines, theta_nodes
 
-from conftest import REFERENCE_DETECTOR
+from conftest import REFERENCE_DETECTOR, UNDERFLOW_OBSERVED
 from test_acceptance import MC_CROSS_CHECK_SETS
 from test_bounds import synthetic_sweep_points
 
@@ -173,6 +173,17 @@ class TestKeyRate:
         rows = (np.array([v]) for v in (obs.q_c, obs.e_c, obs.q_nc, obs.e_nc))
         with pytest.raises(ParameterError, match=message):
             key_rate_rows(reference_dists, *rows, params)
+
+    def test_underflowing_yield_is_not_certified(self, reference_dists):
+        # Both paths count the subnormal yield as not certified instead of
+        # dividing by its products that underflow to zero.
+        obs = ObservedStatistics(**UNDERFLOW_OBSERVED)
+        new, old = report_bits(reference_dists, obs, KeyRateParams())
+        assert new == old
+        assert '"no_single_photon_yield": true' in new[0]
+        rows = (np.array([v]) for v in (obs.q_c, obs.e_c, obs.q_nc, obs.e_nc))
+        assert ([r.hex() for r in key_rate_rows(reference_dists, *rows).tolist()]
+                == [key_rate(reference_dists, obs).r_total.hex()])
 
     def test_zero_gains(self, reference_dists):
         new, old = report_bits(reference_dists, ObservedStatistics(0.0, 0.0, 0.0, 0.0),

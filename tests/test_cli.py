@@ -22,7 +22,7 @@ from passive_decoy.cli import (EXIT_NO_KEY, EXIT_OK, EXIT_PARSE,
 from passive_decoy.records import CSV_HEADER
 from passive_decoy.reports import load_schema
 
-from conftest import REFERENCE_RATE
+from conftest import REFERENCE_RATE, UNDERFLOW_OBSERVED
 
 REPO_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
 # sha256 of the records that simulate writes for the reference config and
@@ -90,6 +90,20 @@ class TestDistributionCommand:
         err = capsys.readouterr().err
         assert "source" in err and "t " in err
 
+    def test_blind_monitor_has_no_click_moments(self, tmp_path):
+        doc = read_json(REPO_CONFIG)
+        doc["alice_detector"] = {"epsilon": 0.0, "eta_d": 0.0}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "dist.json"
+        assert run_cli("distribution", "--config", str(cfg),
+                       "--out", str(out)) == EXIT_OK
+        payload = read_json(out)
+        jsonschema.validate(payload, load_schema("distribution_report"))
+        assert payload["branch_probability"]["click"] == 0.0
+        assert payload["g2"]["click"] is None and payload["mean"]["click"] is None
+        assert payload["g2"]["noclick"] == payload["g2"]["total"]
+
     def test_csv_format(self, config_path, tmp_path):
         out = tmp_path / "dist.csv"
         assert run_cli("distribution", "--config", config_path, "--format",
@@ -126,6 +140,23 @@ class TestKeyrateCommand:
         assert run_cli("keyrate", str(stats), "--config", config_path,
                        "--out", str(out)) == EXIT_NO_KEY
         assert read_json(out)["rates"]["r_total"] == 0.0
+
+    def test_underflowing_yield_gives_a_valid_report(self, config_path, tmp_path,
+                                                    capsys):
+        stats = tmp_path / "tiny.json"
+        stats.write_text(json.dumps(UNDERFLOW_OBSERVED))
+        out = tmp_path / "report.json"
+        assert run_cli("keyrate", str(stats), "--config", config_path,
+                       "--out", str(out)) == EXIT_NO_KEY
+        assert capsys.readouterr() == ("", "")
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+        payload = json.loads(out.read_text(), parse_constant=refuse)
+        jsonschema.validate(payload, load_schema("keyrate_report"))
+        assert payload["bounds"]["y1_lower"] > 0.0
+        assert payload["diagnostics"]["no_single_photon_yield"] is True
+        assert payload["rates"]["r_total"] == 0.0
 
     def test_malformed_stats_is_parse_error(self, config_path, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -756,3 +787,118 @@ def test_simulate_on_edited_config_never_exits_unexpectedly(data,
     else:
         assert re.fullmatch("error: [^\n]*\n", err), err
         assert not any(path.exists() for path in outputs)
+
+
+# argv of a failing call, its exit code and its one error line.  In argv and
+# the line, {tmp} is the test's directory and the other names are the input
+# files that error_inputs writes there.
+ERROR_CASES = {
+    "simulate_without_channel": (
+        ["simulate", "--config", "{no_channel}", "--pulses", "10",
+         "--out", "{tmp}/records.csv"],
+        EXIT_VALIDATION, "simulate requires a channel section in the config"),
+    "optimize_without_channel": (
+        ["optimize", "--config", "{no_channel}", "--out", "{tmp}/trace.csv"],
+        EXIT_VALIDATION, "optimize requires a channel section in the config"),
+    "scan_without_channel": (
+        ["scan", "--config", "{no_channel}", "--lengths", "10",
+         "--out", "{tmp}/scan.csv"],
+        EXIT_VALIDATION, "scan requires a channel section in the config"),
+    "simulate_without_seed": (
+        ["simulate", "--config", "{no_seed}", "--pulses", "10",
+         "--out", "{tmp}/records.csv"],
+        EXIT_VALIDATION, "simulate requires a seed (flag --seed or config)"),
+    "scan_length_not_a_number": (
+        ["scan", "--config", "{config}", "--lengths", "1,x", "--out", "{tmp}/scan.csv"],
+        EXIT_VALIDATION, "--lengths must be comma-separated numbers (got '1,x')"),
+    "ingest_directory": (
+        ["ingest", "{tmp}", "--out", "{tmp}/stats.json"],
+        EXIT_PARSE, "cannot read records file: [Errno 21] Is a directory: '{tmp}'"),
+    "stats_root_array": (
+        ["keyrate", "{array_stats}", "--config", "{config}", "--out", "{tmp}/r.json"],
+        EXIT_PARSE, "stats document must be a JSON object"),
+    "stats_field_string": (
+        ["keyrate", "{string_stats}", "--config", "{config}", "--out", "{tmp}/r.json"],
+        EXIT_PARSE, "stats document: field 'q_c' must be a number"),
+}
+
+
+def error_inputs(tmp_path):
+    """Writes the inputs of ERROR_CASES; returns their paths by name."""
+    config, stats = read_json(REPO_CONFIG), read_json(REPO_STATS)
+    docs = {"config": config,
+            "no_channel": {k: v for k, v in config.items() if k != "channel"},
+            "no_seed": {k: v for k, v in config.items() if k != "seed"},
+            "array_stats": [stats],
+            "string_stats": {**stats, "q_c": str(stats["q_c"])}}
+    paths = {"tmp": str(tmp_path)}
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CASES))
+def test_failure_prints_one_line_naming_the_input(tmp_path, capsys, case):
+    argv, code, message = ERROR_CASES[case]
+    paths = error_inputs(tmp_path)
+    inputs = sorted(os.listdir(tmp_path))
+    assert run_cli(*(arg.format(**paths) for arg in argv)) == code
+    assert capsys.readouterr() == ("", f"error: {message.format(**paths)}\n")
+    assert sorted(os.listdir(tmp_path)) == inputs
+
+
+def test_simulate_refuses_records_to_stdout(config_path, tmp_path, monkeypatch,
+                                            capsys):
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+    assert run_cli("simulate", "--config", config_path, "--pulses", "1000",
+                   "--seed", "1", "--out", "-", "--stats-out", "-") == EXIT_VALIDATION
+    assert capsys.readouterr() == (
+        "", "error: --out must name a file: records are not written to stdout\n")
+    assert os.listdir(empty) == []
+
+
+# argv of each command that can write to stdout, and the flag naming its
+# target; {config} and {records} are the stdout_inputs files, {tmp} the
+# test's directory.
+STDOUT_CALLS = {
+    "distribution_json": (["distribution", "--config", "{config}"], "--out"),
+    "distribution_csv": (["distribution", "--config", "{config}",
+                          "--format", "csv"], "--out"),
+    "keyrate": (["keyrate", REPO_STATS, "--config", "{config}"], "--out"),
+    "ingest": (["ingest", "{records}"], "--out"),
+    "optimize": (["optimize", "--config", "{config}"], "--out"),
+    "scan": (["scan", "--config", "{config}", "--lengths", "0,10,50"], "--out"),
+    "simulate": (["simulate", "--config", "{config}", "--pulses", "2000",
+                  "--seed", "1", "--out", "{tmp}/records.csv"], "--stats-out"),
+}
+
+
+@pytest.fixture(scope="module")
+def stdout_inputs(tmp_path_factory):
+    base = tmp_path_factory.mktemp("stdout")
+    config, records = base / "config.json", base / "records.csv"
+    config.write_bytes(SMALL_SEARCH_CONFIG)
+    assert run_cli("simulate", "--config", str(config), "--pulses", "2000",
+                   "--seed", "1", "--out", str(records),
+                   "--stats-out", os.devnull) == EXIT_OK
+    return {"config": str(config), "records": str(records)}
+
+
+@pytest.mark.parametrize("target", ["omitted", "dash"])
+@pytest.mark.parametrize("command", sorted(STDOUT_CALLS))
+def test_stdout_gets_the_bytes_of_a_file_target(stdout_inputs, tmp_path, capsys,
+                                                command, target):
+    argv, flag = STDOUT_CALLS[command]
+    argv = [arg.format(tmp=tmp_path, **stdout_inputs) for arg in argv]
+    out = tmp_path / "out"
+    code = run_cli(*argv, flag, str(out))
+    assert code == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+    assert run_cli(*argv, *([flag, "-"] if target == "dash" else [])) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode() == out.read_bytes()

@@ -5,11 +5,12 @@ import json
 import math
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from passive_decoy import ConfigError, run_config_from_dict
+from passive_decoy import ConfigError, ParameterError, run_config_from_dict
 from passive_decoy.reports import load_schema
 
 REFERENCE = json.loads(
@@ -100,3 +101,8 @@ def test_schema_and_loader_agree_at_every_bound():
                 if VALIDATOR.is_valid(doc) != _loads(doc):
                     disagreements.append((".".join(map(str, path)), value))
     assert disagreements == []
+
+
+def test_unknown_schema_name_is_refused():
+    with pytest.raises(ParameterError, match="^unknown schema 'nope'$"):
+        load_schema("nope")

@@ -121,3 +121,14 @@ print(json.dumps([len(defined), moved, sorted({*passive_decoy.__all__, "__versio
     assert moved == []
     assert undir == []
     assert unknown == "module 'passive_decoy' has no attribute 'no_such_name'"
+
+
+def test_unknown_name_and_dir_in_this_process():
+    # The fresh-interpreter probe above runs the same checks where no
+    # statement tracer sees them.
+    import passive_decoy
+    with pytest.raises(AttributeError, match="^module 'passive_decoy' has no "
+                       "attribute 'no_such_name'$"):
+        passive_decoy.no_such_name
+    assert len(passive_decoy.__all__) == 36
+    assert {*passive_decoy.__all__, "__version__"} <= set(dir(passive_decoy))

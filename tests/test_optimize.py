@@ -29,6 +29,10 @@ class TestAxisSpec:
         with pytest.raises(ParameterError):
             AxisSpec(0.1, 0.1, 2)
 
+    def test_search_needs_a_level(self):
+        with pytest.raises(ParameterError, match="^refinement_levels must be >= 1$"):
+            space_around_reference(make_channel(), levels=0)
+
     def test_refined_window_shrinks_and_contains_center(self):
         axis = AxisSpec(0.0, 0.9, 4)
         fine = axis.refined_around(0.45)

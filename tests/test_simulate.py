@@ -102,6 +102,18 @@ class TestChannelFit:
             fit_channel_to_observed(reference_dists, obs,
                                     bob_dark_per_detector=1e-4)
 
+    def test_rejects_gain_no_efficiency_reaches(self, reference_dists):
+        obs = ObservedStatistics(q_c=2.54e-6, e_c=0.0613, q_nc=0.5, e_nc=0.0555)
+        with pytest.raises(ParameterError, match="^observed no-click gain is "
+                           "unreachably large for the given path loss$"):
+            fit_channel_to_observed(reference_dists, obs)
+
+    def test_rejects_error_rate_beyond_any_misalignment(self, reference_dists):
+        obs = ObservedStatistics(q_c=2.54e-6, e_c=0.0613, q_nc=8.18e-5, e_nc=0.9)
+        with pytest.raises(ParameterError, match=r"^fitted misalignment 0\.9\d* "
+                           r"outside \[0, 0\.5\]; the pinned dark probability"):
+            fit_channel_to_observed(reference_dists, obs)
+
 
 class TestMonteCarlo:
     def test_same_seed_is_bit_identical(self, reference_params, reference_detector):
@@ -269,6 +281,11 @@ class TestHomScan:
         assert overlaps == sorted(overlaps)
         coincidences = [r.coincidence for r in scan.rows]
         assert all(a >= b for a, b in zip(coincidences, coincidences[1:]))
+
+    def test_vacuum_source_has_no_coincidences(self):
+        scan = hom_coincidence_scan(PulsePairParams(0.0, 0.0, 0.5), [0.0, 1.0])
+        assert [(r.coincidence, r.visibility) for r in scan.rows] == [(0.0, 0.0)] * 2
+        assert scan.visibility == 0.0
 
     def test_rejects_empty_scan(self):
         with pytest.raises(ParameterError):

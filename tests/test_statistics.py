@@ -254,6 +254,9 @@ class TestMomentFunctions:
             g2([0.0, -0.1, 0.5])
         with pytest.raises(ParameterError):
             g2(np.zeros(4))
+        with pytest.raises(ParameterError, match="^distribution must be a "
+                           "non-empty 1-d array$"):
+            g2(np.full((2, 3), 0.5))
 
     def test_branch_mean_poisson(self):
         assert branch_mean(poisson_vector(0.5)) == pytest.approx(0.5, abs=1e-9)
