@@ -12,7 +12,8 @@ settled by a fair coin.
 Reproducibility: one seed drives a run.  The chunk defines the stream: each
 chunk of ``_CHUNK_PULSES`` pulses draws from its own substream in a fixed
 order.  The block is only the unit of work: chunks are sampled, tallied and
-sunk ``_BLOCK_PULSES`` pulses at a time, and the block size reaches no output.
+sunk ``_BLOCK_PULSES`` (65,536) pulses at a time, four of the record
+writer's slices, and the block size reaches no output.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from .statistics import (DEFAULT_THETA_NODES, PulsePairParams,
 # the stream of random draws, and therefore every output.
 _CHUNK_PULSES = 1 << 20
 # Pulses sampled, tallied and sunk at a time: a multiple of 4, so that each
-# block's 4-bit draws start on a fresh 32-bit draw, as one call's would.
-_BLOCK_PULSES = _FORMAT_ROWS
+# block's 4-bit draws start on a fresh 32-bit draw, as one call's would, and
+# of the writer's slice, so that no slice is short.
+_BLOCK_PULSES = 4 * _FORMAT_ROWS
 
 
 def _chunk_draws(stream: np.random.SeedSequence, size: int) -> list[np.random.Generator]:
@@ -185,7 +187,8 @@ def hom_coincidence_scan(params: PulsePairParams,
     rows = []
     mean_a = params.mean_mode_a
     mean_b = params.nu - mean_a
-    baseline = (1.0 - np.exp(-mean_a)) * (1.0 - np.exp(-mean_b))
+    # A Python float, as numpy computed it: math.exp may round differently.
+    baseline = float((1.0 - np.exp(-mean_a)) * (1.0 - np.exp(-mean_b)))
     for s in sorted(overlaps):
         p = replace(params, overlap=float(s))
         if p.nu > 0.0:

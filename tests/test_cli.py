@@ -224,12 +224,15 @@ class TestSimulateAndIngest:
                        "--stats-out", os.devnull) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("block", [1000, 2 ** 16, 2 ** 20])
+    @pytest.mark.parametrize("block", [1000, 2 ** 14, 2 ** 16, 2 ** 20])
     def test_block_size_is_not_part_of_the_stream(self, tmp_path, monkeypatch,
                                                   block):
         # Two chunks, the second of 2^19 pulses: with 1000 its last block
-        # is short, with 2^20 each chunk is one block.
-        from passive_decoy import simulate
+        # is short, with 2^20 each chunk is one block.  The writer's slices
+        # move with the sampler's block: 2^14 is the writer's default and
+        # 2^16 the sampler's, which the test above runs together.
+        from passive_decoy import records, simulate
+        monkeypatch.setattr(records, "_FORMAT_ROWS", block)
         monkeypatch.setattr(simulate, "_BLOCK_PULSES", block)
         self.test_records_keep_their_bytes(tmp_path, 3 * 2 ** 19,
                                            RECORD_DIGESTS[3 * 2 ** 19])

@@ -1,36 +1,50 @@
-"""Heap bounds of the click-record path, measured with ``tracemalloc``.
+"""Memory bounds of the click-record path.
 
 A Monte Carlo run written through the records writer, a batch written
 through ``simulate``'s record sink or ``write_records_csv``, and ingesting a
 file each work through blocks of a fixed size, so their heap peaks do not
-grow with the chunk, the run or the file.  numpy reports its array buffers
-to ``tracemalloc``, so the peaks count them.
+grow with the chunk, the run or the file.  The heap is measured with
+``tracemalloc``, to which numpy reports its array buffers; the peak RSS of
+whole ``simulate`` and ``ingest`` processes is measured too, on Linux.
 """
 
 import contextlib
 import json
+import os
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from passive_decoy import (IngestError, PulsePairParams, ThresholdDetector,
-                           cli, ingest_records, simulate, write_records_csv)
+                           cli, ingest_records, records, simulate,
+                           write_records_csv)
 from passive_decoy.records import (CSV_HEADER, TallyCounts, format_batch_csv,
                                    open_records_csv)
 from passive_decoy.simulate import _chunk_draws, _simulate_chunk
 
 from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE
 from test_bit_identity import bright_channel
+from test_cli import REPO_CONFIG
+from test_imports import run_fresh
 from test_records import random_batch
 
 MB = 2 ** 20
 CHUNK = 2 ** 20
 # Two chunks, the second of one block and 3 pulses.
-RUN_PULSES = 2 ** 20 + 2 ** 16 + 3
-RUN_HEAP_MB = 12
-SINK_HEAP_MB = 16
-INGEST_HEAP_MB = 20
+RUN_PULSES = CHUNK + simulate._BLOCK_PULSES + 3
+# Each heap bound is the peak measured with Python 3.11 and numpy 2.4 (4.2,
+# 1.8 and 2.3 MB) plus a margin of about 1.5 MB, rounded up to a whole MB.
+RUN_HEAP_MB = 6
+SINK_HEAP_MB = 4
+INGEST_HEAP_MB = 4
+# Runs the command in argv and prints its exit status and peak RSS.  Linux
+# carries a parent's RSS high-water mark into a child it spawns, so the
+# child comes from this small interpreter, not from the test process.
+LAUNCHER = ("import json, os, subprocess, sys; "
+            "_, status, usage = os.wait4(subprocess.Popen(sys.argv[1:]).pid, 0); "
+            "print(json.dumps([status, usage.ru_maxrss]))")
 
 
 @contextlib.contextmanager
@@ -145,6 +159,34 @@ def test_ingesting_canonical_records(tmp_path):
     assert peak["mb"] <= INGEST_HEAP_MB
 
 
+def cli_peak_mb(*argv):
+    """The peak RSS, in MB, of a fresh ``passive-decoy ARGV`` process."""
+    status, max_rss = run_fresh(LAUNCHER, sys.executable, "-m",
+                                "passive_decoy.cli", *argv)
+    assert status == 0, argv
+    return max_rss / 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB only on Linux")
+def test_process_peaks_do_not_grow_with_the_run(tmp_path):
+    peaks = {}
+    for pulses in (1000, 3 * 2 ** 19):
+        out = str(tmp_path / f"{pulses}.csv")
+        peaks["simulate", pulses] = cli_peak_mb(
+            "simulate", "--config", REPO_CONFIG, "--pulses", str(pulses),
+            "--seed", "7", "--out", out, "--stats-out", os.devnull)
+        peaks["ingest", pulses] = cli_peak_mb("ingest", out, "--out", os.devnull)
+    # A longer run adds to the peak RSS the pages its per-block arrays touch,
+    # which is the heap its blocks add, plus the allocator's slack: bound it
+    # by the heap bounds above, whose margin covers the slack (measured with
+    # Python 3.11 and numpy 2.4: 3.7 MB of RSS over 4.2 of heap for
+    # simulate, 2.2 over 2.3 for ingest).
+    for command, bound in (("simulate", RUN_HEAP_MB), ("ingest", INGEST_HEAP_MB)):
+        growth = peaks[command, 3 * 2 ** 19] - peaks[command, 1000]
+        assert growth <= bound, (command, peaks)
+
+
 class TestLoneCarriageReturns:
     """A file whose lines end in a lone ``\\r`` is cut into blocks like its
     ``\\n`` twin, so it parses in the same bounded heap."""
@@ -170,17 +212,19 @@ class TestLoneCarriageReturns:
         assert peak["mb"] <= INGEST_HEAP_MB
 
     def test_error_in_the_second_block_names_its_record(self, twins, tmp_path):
-        # Record 65537 lies past the first read of a megabyte.
+        # The header and records 1 to n - 1 end in the first read, so
+        # record n opens the second block.
         messages = []
         for path in twins:
             data = path.read_bytes()
             end = data[-1:]
             lines = data.split(end)
-            assert lines[65537].startswith(b"65536,")
-            lines[65537] = lines[65537].replace(b",", b",2,", 1)
+            n = data[:records._READ_BYTES].count(end)
+            assert n < self.N
+            lines[n] = lines[n].replace(b",", b",2,", 1)
             bad = tmp_path / path.name
             bad.write_bytes(end.join(lines))
             with pytest.raises(IngestError) as info:
                 ingest_records(str(bad))
             messages.append(str(info.value))
-        assert messages[0] == messages[1] == "record 65537: expected 7 fields, got 8"
+        assert messages[0] == messages[1] == f"record {n}: expected 7 fields, got 8"

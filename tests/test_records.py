@@ -168,7 +168,7 @@ class TestFormatOracle:
         assert format_batch_csv(batch) == reference_format(batch)
 
     def test_index_widens_at_a_slice_boundary(self, tmp_path):
-        # Row 65,536, the first of the second slice, is the first 7-digit
+        # Row 16,384, the first of the second slice, is the first 7-digit
         # index.
         start = 10 ** 6 - records._FORMAT_ROWS
         batch = random_batch(np.random.default_rng(8), np.arange(start, start + 70_000))

@@ -282,6 +282,20 @@ class TestHomScan:
         coincidences = [r.coincidence for r in scan.rows]
         assert all(a >= b for a, b in zip(coincidences, coincidences[1:]))
 
+    def test_rows_hold_python_floats(self):
+        # Each visibility keeps the bits of numpy's baseline, as a float.
+        params = PulsePairParams(0.1, 0.1, 0.5)
+        scan = hom_coincidence_scan(params, [0.0, 0.5, 1.0])
+        mean_a = params.mean_mode_a
+        baseline = (1.0 - np.exp(-mean_a)) * (1.0 - np.exp(-(params.nu - mean_a)))
+        for row in scan.rows:
+            assert [type(v) for v in (row.overlap, row.coincidence,
+                                      row.visibility)] == [float] * 3
+            assert row.visibility == 1.0 - row.coincidence / baseline
+        assert type(scan.visibility) is float
+        assert scan.rows[1].visibility == pytest.approx(0.12491540173336013,
+                                                        rel=1e-12)
+
     def test_vacuum_source_has_no_coincidences(self):
         scan = hom_coincidence_scan(PulsePairParams(0.0, 0.0, 0.5), [0.0, 1.0])
         assert [(r.coincidence, r.visibility) for r in scan.rows] == [(0.0, 0.0)] * 2
