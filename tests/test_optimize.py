@@ -1,13 +1,23 @@
+import concurrent.futures
+import importlib
+import json
+import os
+from pathlib import Path
+
 import pytest
 
 from passive_decoy import (AxisSpec, KeyRateParams, ParameterError,
-                           SearchSpace, ThresholdDetector,
-                           branch_distributions, key_rate, optimize,
-                           predicted_statistics, scan_rate_vs_distance)
+                           SearchSpace, ThresholdDetector, TruncationError,
+                           branch_distributions, cli, key_rate, load_run_config,
+                           optimize, predicted_statistics,
+                           scan_rate_vs_distance)
 from passive_decoy.optimize import rate_for_point
 
 from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE
+from test_cli import REPO_CONFIG
 from test_simulate import make_channel
+
+optimize_module = importlib.import_module("passive_decoy.optimize")
 
 
 def space_around_reference(channel, levels=2, points=5):
@@ -107,6 +117,134 @@ class TestOptimize:
         result = optimize(space)
         assert result.best_rate == 0.0
         assert result.trace[0].flag == "degenerate"
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
+
+
+def split_config(tmp_path, fiber_length_km=10.0, n_max=20):
+    """A config whose 3 x 3 x 5 search has t edges, which are degenerate, and
+    over 120 km points with no certified single-photon yield."""
+    doc = json.loads(Path(REPO_CONFIG).read_text())
+    doc["channel"].update(fiber_length_km=fiber_length_km, misalignment=0.02)
+    doc["channel"]["bob_detector"]["eta_d"] = 0.05
+    doc["numerics"]["n_max"] = n_max
+    doc["search"] = {"mu1": [0.14, 1.14, 3], "mu2": [0.02, 0.14, 3],
+                     "t": [0.0, 1.0, 5], "refinement_levels": 2}
+    path = tmp_path / f"split_{fiber_length_km}_{n_max}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def cli_outputs(config, tmp_path, capsys):
+    """(exit code, stderr, output bytes) of ``optimize`` on ``config``, for
+    CSV and for JSON."""
+    runs = []
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"opt.{fmt}"
+        out.unlink(missing_ok=True)
+        code = cli.main(["optimize", "--config", config, "--format", fmt,
+                         "--out", str(out)])
+        runs.append((code, capsys.readouterr().err,
+                     out.read_bytes() if out.exists() else None))
+    return runs
+
+
+# A split level forks while numpy's BLAS threads run, which Python 3.12 and
+# later warn about.
+forks = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning")
+
+
+class TestSplitLevels:
+    """A level cut across processes gives what one process gives."""
+
+    def force_split(self, monkeypatch):
+        # 45-point levels in three parts of 15: this process and two workers.
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(optimize_module, "_POINTS_PER_PROCESS", 4)
+
+    @forks
+    @pytest.mark.parametrize("fiber_length_km, flags", [
+        (10.0, {"", "degenerate"}),
+        (120.0, {"", "degenerate", "no_yield"}),
+    ])
+    def test_split_search_equals_serial(self, monkeypatch, tmp_path, capsys,
+                                        fiber_length_km, flags):
+        config = split_config(tmp_path, fiber_length_km)
+        space = cli._search_space(load_run_config(config))
+        usable_cpus(monkeypatch, 1)
+        serial = optimize(space)
+        serial_cli = cli_outputs(config, tmp_path, capsys)
+        assert {p.flag for p in serial.trace} == flags
+        assert [run[:2] for run in serial_cli] == [(cli.EXIT_OK, "")] * 2
+        self.force_split(monkeypatch)
+        assert optimize_module._process_count(45) == 3
+        assert optimize(space) == serial
+        assert cli_outputs(config, tmp_path, capsys) == serial_cli
+
+    @forks
+    def test_first_failing_point_raises_as_in_serial(self, monkeypatch,
+                                                     tmp_path, capsys):
+        # n_max 10 truncates both worker parts (mu1 0.64 and 1.14); the
+        # first, at total intensity 0.66, is the error a serial search meets.
+        config = split_config(tmp_path, n_max=10)
+        space = cli._search_space(load_run_config(config))
+        usable_cpus(monkeypatch, 1)
+        with pytest.raises(TruncationError) as serial:
+            optimize(space)
+        serial_cli = cli_outputs(config, tmp_path, capsys)
+        assert "total intensity 0.66" in str(serial.value)
+        assert serial_cli == [(cli.EXIT_VALIDATION, f"error: {serial.value}\n",
+                               None)] * 2
+        self.force_split(monkeypatch)
+        with pytest.raises(TruncationError) as split:
+            optimize(space)
+        assert str(split.value) == str(serial.value)
+        assert type(split.value.__cause__).__name__ == "_RemoteTraceback"
+        assert cli_outputs(config, tmp_path, capsys) == serial_cli
+
+    @forks
+    def test_dead_worker_is_an_unexpected_error(self, monkeypatch, tmp_path,
+                                                capsys):
+        parent = os.getpid()
+
+        def dies_in_a_worker(*args):
+            if os.getpid() != parent:
+                os._exit(9)
+            return rate_for_point(*args)
+        self.force_split(monkeypatch)
+        monkeypatch.setattr(optimize_module, "rate_for_point", dies_in_a_worker)
+        assert cli.main(["optimize", "--config", split_config(tmp_path),
+                         "--out", str(tmp_path / "opt.csv")]) == cli.EXIT_UNEXPECTED
+        assert capsys.readouterr().err.startswith("error: BrokenProcessPool: ")
+        assert not (tmp_path / "opt.csv").exists()
+
+    def test_reference_search_stays_in_process(self, monkeypatch, tmp_path):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was built")
+        usable_cpus(monkeypatch, 1000)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        out = tmp_path / "opt.csv"
+        assert cli.main(["optimize", "--config", REPO_CONFIG,
+                         "--out", str(out)]) == cli.EXIT_OK
+        assert len(out.read_text().splitlines()) == 1 + 250
+
+    def test_process_count(self, monkeypatch):
+        per = optimize_module._POINTS_PER_PROCESS
+        assert 62 < per
+        usable_cpus(monkeypatch, 1000)
+        assert optimize_module._process_count(4096) == 4096 // per
+        assert optimize_module._process_count(125) == 1
+        assert optimize_module._process_count(2 * per - 1) == 1
+        usable_cpus(monkeypatch, 2)
+        assert optimize_module._process_count(4096) == 2
+        usable_cpus(monkeypatch, 1)
+        assert optimize_module._process_count(4096) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert optimize_module._process_count(4096) == 1
 
 
 class TestScan:
