@@ -20,8 +20,8 @@ import pytest
 from passive_decoy import (IngestError, PulsePairParams, ThresholdDetector,
                            cli, ingest_records, records, simulate,
                            write_records_csv)
-from passive_decoy.records import (CSV_HEADER, TallyCounts, format_batch_csv,
-                                   open_records_csv)
+from passive_decoy.records import (CSV_COLUMNS, CSV_HEADER, TallyCounts,
+                                   format_batch_csv, open_records_csv)
 from passive_decoy.simulate import _chunk_draws, _simulate_chunk
 
 from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE
@@ -34,11 +34,14 @@ MB = 2 ** 20
 CHUNK = 2 ** 20
 # Two chunks, the second of one block and 3 pulses.
 RUN_PULSES = CHUNK + simulate._BLOCK_PULSES + 3
-# Each heap bound is the peak measured with Python 3.11 and numpy 2.4 (4.2,
-# 1.8 and 2.3 MB) plus a margin of about 1.5 MB, rounded up to a whole MB.
-RUN_HEAP_MB = 6
-SINK_HEAP_MB = 4
+# Each heap bound is the peak measured with Python 3.11 and numpy 2.4 (2.6,
+# 1.1 and 2.3 MB) plus a margin of about 1.5 MB, rounded up to a whole MB.
+RUN_HEAP_MB = 5
+SINK_HEAP_MB = 3
 INGEST_HEAP_MB = 4
+# What a run may hold at a record-sink call beyond the batch's columns
+# (measured: 6 KB; three float rows kept across blocks would add 1.5 MB).
+SINK_HELD_BYTES = 64 * 1024
 # Runs the command in argv and prints its exit status and peak RSS.  Linux
 # carries a parent's RSS high-water mark into a child it spawns, so the
 # child comes from this small interpreter, not from the test process.
@@ -85,6 +88,28 @@ def test_a_run_samples_tallies_and_writes_in_blocks(tmp_path):
                                            record_sink=write)
     assert tallies.pulses == RUN_PULSES
     assert peak["mb"] <= RUN_HEAP_MB
+
+
+def test_a_run_holds_only_the_batch_at_each_sink_call():
+    # Each block's arrays are made for it and dropped after its sink call,
+    # so no sampler array outlives its block.
+    held = []
+
+    def sink(batch):
+        columns = sum(getattr(batch, name).nbytes for name in CSV_COLUMNS)
+        held.append(tracemalloc.get_traced_memory()[0] - base - columns)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        simulate.monte_carlo_run(PulsePairParams(**REFERENCE_SOURCE),
+                                 ThresholdDetector(**REFERENCE_DETECTOR),
+                                 bright_channel(), RUN_PULSES, 5,
+                                 record_sink=sink)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == CHUNK // simulate._BLOCK_PULSES + 2
+    assert max(held) < SINK_HELD_BYTES, held
 
 
 def test_simulate_sink_writes_a_chunk_in_slices(tmp_path, monkeypatch):
@@ -180,8 +205,8 @@ def test_process_peaks_do_not_grow_with_the_run(tmp_path):
     # A longer run adds to the peak RSS the pages its per-block arrays touch,
     # which is the heap its blocks add, plus the allocator's slack: bound it
     # by the heap bounds above, whose margin covers the slack (measured with
-    # Python 3.11 and numpy 2.4: 3.7 MB of RSS over 4.2 of heap for
-    # simulate, 2.2 over 2.3 for ingest).
+    # Python 3.11 and numpy 2.4: 2.4 MB of RSS over 2.6 of heap for
+    # simulate, 2.1 over 2.3 for ingest).
     for command, bound in (("simulate", RUN_HEAP_MB), ("ingest", INGEST_HEAP_MB)):
         growth = peaks[command, 3 * 2 ** 19] - peaks[command, 1000]
         assert growth <= bound, (command, peaks)
