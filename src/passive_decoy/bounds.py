@@ -147,41 +147,71 @@ def _entropy_rows(x: np.ndarray) -> np.ndarray:
     return np.array([binary_entropy(v) for v in x.tolist()])
 
 
-_FLOAT_OPS = (_clamp, _select, binary_entropy)
-_ROW_OPS = (_clamp_rows, np.where, _entropy_rows)
+def _raise_if(failed, fail, *args):
+    # The guard over heads that are floats: fail(*args) raises.
+    if failed:
+        fail(*args)
+    return failed
+
+
+def _invalid_heads(pc0: float, pnc0: float, e0: float) -> None:
+    if pc0 <= 0.0 or pnc0 <= 0.0:
+        raise ParameterError("vacuum probability of each branch must be positive")
+    raise ParameterError(f"e0 = {e0!r} is too small: a branch's vacuum "
+                         "probability times e0 underflows to zero")
+
+
+def _degenerate_heads(background_den: float, single_photon_den: float) -> None:
+    _guard_denominator(background_den, "background-yield")
+    _guard_denominator(single_photon_den, "single-photon-yield")
+
+
+_FLOAT_OPS = (_clamp, _select, binary_entropy, _raise_if)
+_ROW_OPS = (_clamp_rows, np.where, _entropy_rows, _raise_if)
 
 
 def _bound_chain(heads, stats, params: KeyRateParams, ops) -> dict:
     """The bound chain from Y0 to r_total, for one observation or for rows.
 
     ``heads`` holds the first three entries of ``p_click``, ``p_noclick`` and
-    ``p_total``; ``stats`` is ``(q_c, e_c, q_nc, e_nc, q_t, e_t)``, each a
-    float or each a 1-d array with one observation per row.  ``ops`` is
-    ``(clamp, select, entropy)`` for that kind of value: ``max(x, 0.0)``,
-    ``a if cond else b`` and the binary entropy.  Both sides of a select are
-    evaluated, so a quantity a row does not use is still computed, with a
-    divisor that is not zero.  The guards depend on the distributions alone
-    and raise before any row is evaluated.
+    ``p_total``, each a float or each a 1-d array with one source per row;
+    ``stats`` is ``(q_c, e_c, q_nc, e_nc, q_t, e_t)``, each a float or each a
+    1-d array with one observation per row.  ``ops`` is ``(clamp, select,
+    entropy, guard)`` for that kind of value: ``max(x, 0.0)``, ``a if cond
+    else b``, the binary entropy, and ``guard(failed, fail, *args)``, which
+    returns ``failed`` unless it calls ``fail(*args)`` to raise.  Both sides
+    of a select are evaluated, so a quantity a row does not use is still
+    computed, with a divisor that is not zero.
+
+    The guards depend on the heads alone.  Over float heads they raise before
+    any row is evaluated; over rows of heads, a guard that returns its mask
+    leaves the rows it marks with values that mean nothing, and the result's
+    ``invalid`` (no vacuum, or e0 underflows: a ``ParameterError``) and
+    ``degenerate`` (a ``DegenerateSourceError``) say which.
     """
-    clamp, select, entropy = ops
+    clamp, select, entropy, guard = ops
     (pc0, pc1, pc2), (pnc0, pnc1, pnc2), (pt0, pt1, pt2) = heads
     q_c, e_c, q_nc, e_nc, q_t, e_t = stats
     e0 = params.e0
+
+    # Invalid: a branch without vacuum, or vacuum times e0 that underflows.
+    # Degenerate: an elimination denominator of about zero.
+    invalid = guard((pc0 <= 0.0) | (pnc0 <= 0.0) | (pc0 * e0 == 0.0)
+                    | (pnc0 * e0 == 0.0), _invalid_heads, pc0, pnc0, e0)
+    background_den = pt1 * pnc0 - pnc1 * pt0
+    single_photon_den = pt2 * pnc1 - pnc2 * pt1
+    degenerate = guard((abs(background_den) < DEGENERATE_DENOMINATOR_TOL)
+                       | (abs(single_photon_den) < DEGENERATE_DENOMINATOR_TOL),
+                       _degenerate_heads, background_den, single_photon_den)
 
     # Background yield Y0.  The upper bound assumes every observed error of a
     # branch could be background and keeps the smaller branch; the lower
     # bound eliminates the single-photon term between the branches and is
     # clamped into [0, upper] so the pair is always consistent.
-    if pc0 <= 0.0 or pnc0 <= 0.0:
-        raise ParameterError("vacuum probability of each branch must be positive")
-    if pc0 * e0 == 0.0 or pnc0 * e0 == 0.0:
-        raise ParameterError(f"e0 = {e0!r} is too small: a branch's vacuum "
-                             "probability times e0 underflows to zero")
     cand_c = e_c * q_c / (pc0 * e0)
     cand_nc = e_nc * q_nc / (pnc0 * e0)
     upper_is_c = cand_c <= cand_nc
     y0_upper = select(upper_is_c, cand_c, cand_nc)
-    background_den = _guard_denominator(pt1 * pnc0 - pnc1 * pt0, "background-yield")
     y0_lower_raw = (pt1 * q_nc - pnc1 * q_t) / background_den
     y0_lower = clamp(y0_lower_raw)
     y0_lower = select(y0_upper < y0_lower, y0_upper, y0_lower)
@@ -189,8 +219,6 @@ def _bound_chain(heads, stats, params: KeyRateParams, ops) -> dict:
     # Single-photon yield Y1 >= slope - vacuum_coeff * Y0_upper, from
     # eliminating the two-photon term; per branch the same elimination bounds
     # P1*Y1 + P0*Y0, the term privacy amplification uses.  Both clamp at zero.
-    single_photon_den = _guard_denominator(pt2 * pnc1 - pnc2 * pt1,
-                                           "single-photon-yield")
     slope = (pt2 * q_nc - pnc2 * q_t) / single_photon_den
     vacuum_coeff = (pt2 * pnc0 - pnc2 * pt0) / single_photon_den
     y1_raw = slope - vacuum_coeff * y0_upper
@@ -234,6 +262,7 @@ def _bound_chain(heads, stats, params: KeyRateParams, ops) -> dict:
         "e1_upper": e1_upper, "entropy_clamped": entropy_clamped,
         "privacy_factor": privacy_factor,
         "r_c": r_c, "r_nc": r_nc, "r_total": clamp(r_c) + clamp(r_nc),
+        "invalid": invalid, "degenerate": degenerate,
     }
 
 
@@ -293,6 +322,16 @@ def key_rate(dists: BranchDistributions, obs: ObservedStatistics,
         diagnostics=diagnostics)
 
 
+def _chain_rows(heads, q_c, e_c, q_nc, e_nc, params: KeyRateParams,
+                ops) -> dict:
+    # Rows a select discards may divide by zero; numpy's warnings would only
+    # report those.
+    with np.errstate(all="ignore"):
+        q_t = q_c + q_nc  # q_t and e_t as ObservedStatistics derives them
+        e_t = np.where(q_t <= 0.0, 0.0, (q_c * e_c + q_nc * e_nc) / q_t)
+        return _bound_chain(heads, (q_c, e_c, q_nc, e_nc, q_t, e_t), params, ops)
+
+
 def key_rate_rows(dists: BranchDistributions, q_c: np.ndarray, e_c: np.ndarray,
                   q_nc: np.ndarray, e_nc: np.ndarray,
                   params: KeyRateParams = KeyRateParams()) -> np.ndarray:
@@ -304,10 +343,34 @@ def key_rate_rows(dists: BranchDistributions, q_c: np.ndarray, e_c: np.ndarray,
     ``ObservedStatistics``' range checks.
     """
     heads = [p[:3].tolist() for p in (dists.p_click, dists.p_noclick, dists.p_total)]
-    # Rows a select discards may divide by zero; numpy's warnings would only
-    # report those.
-    with np.errstate(all="ignore"):
-        q_t = q_c + q_nc  # q_t and e_t as ObservedStatistics derives them
-        e_t = np.where(q_t <= 0.0, 0.0, (q_c * e_c + q_nc * e_nc) / q_t)
-        return _bound_chain(heads, (q_c, e_c, q_nc, e_nc, q_t, e_t), params,
-                            _ROW_OPS)["r_total"]
+    return _chain_rows(heads, q_c, e_c, q_nc, e_nc, params, _ROW_OPS)["r_total"]
+
+
+def _mask(failed, fail, *args):
+    return failed
+
+
+def source_rate_rows(heads, q_c: np.ndarray, e_c: np.ndarray, q_nc: np.ndarray,
+                     e_nc: np.ndarray, params: KeyRateParams = KeyRateParams()
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``key_rate`` for rows that each hold their own distributions.
+
+    ``heads`` is as in ``_bound_chain``, with one source per row.  Returns
+    ``(r_total, no_yield, invalid, degenerate)``.  Where ``invalid``, row
+    ``i``'s ``key_rate`` raises ``ParameterError``; else where
+    ``degenerate``, ``DegenerateSourceError``; else it gives ``r_total[i]``
+    with ``no_single_photon_yield`` equal to ``no_yield[i]``.  The rows of
+    statistics must pass ``ObservedStatistics``' range checks, or be marked
+    invalid by the caller.
+    """
+    raised = []
+
+    def entropy(x):  # binary_entropy raises outside [0, 1]
+        outside = ~((0.0 <= x) & (x <= 1.0))
+        raised.append(outside)
+        return _entropy_rows(np.where(outside, 0.0, x))
+
+    c = _chain_rows(heads, q_c, e_c, q_nc, e_nc, params,
+                    (_clamp_rows, np.where, entropy, _mask))
+    invalid = c["invalid"] | (~c["degenerate"] & np.logical_or.reduce(raised))
+    return c["r_total"], c["no_yield"], invalid, c["degenerate"]

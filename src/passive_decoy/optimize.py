@@ -7,14 +7,18 @@ point, and re-grid.  Scoring goes through the analytic forward model only,
 which keeps every evaluation deterministic; ties break lexicographically on
 (mu1, mu2, t) so results never depend on evaluation order.
 
-Each level is scored in grid order by ``_score``.  Where more than one CPU
-is usable and a level holds at least twice ``_POINTS_PER_PROCESS`` points,
-the level is cut into contiguous parts, one per usable CPU but none smaller
-than ``_POINTS_PER_PROCESS`` points: this process scores the first part,
-forked worker processes the rest, and the parts are joined in grid order.
-Every point still goes through ``rate_for_point``, so the result does not
-depend on the number of CPUs, and the first failing point in grid order
-raises what a serial search raises.
+Each level is scored in grid order by ``_score``.  A level of at least
+twice ``_POINTS_PER_PROCESS`` points is scored as rows of source points,
+``_score_rows``: blocks of about 32 points go through the phase-quadrature
+kernel, the channel's gains and the bound chain at once, and each point gets
+the bits and flag ``rate_for_point`` gives it.  A smaller level takes one
+``rate_for_point`` call per point.  Where more than one CPU is usable, a
+level of at least twice ``_POINTS_PER_PROCESS`` points is also cut into
+contiguous parts, one per usable CPU but none smaller than
+``_POINTS_PER_PROCESS`` points: this process scores the first part, forked
+worker processes the rest, and the parts are joined in grid order.  So the
+result does not depend on the number of CPUs or on the size of a block, and
+the first failing point in grid order raises what a serial search raises.
 """
 
 from __future__ import annotations
@@ -27,21 +31,29 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import KeyRateParams, key_rate, key_rate_rows
+from .bounds import KeyRateParams, key_rate, key_rate_rows, source_rate_rows
 from .errors import DegenerateSourceError, ParameterError, excerpt
-from .channel import (ChannelModel, predicted_statistics,
-                      predicted_statistics_over_lengths)
+from .channel import (ChannelModel, _channel_yields, _row_dots,
+                      predicted_statistics, predicted_statistics_over_lengths)
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
-                         PulsePairParams, ThresholdDetector,
-                         branch_distributions)
+                         PulsePairParams, ThresholdDetector, _check_counts,
+                         _check_unit_interval, _phase_averages, _truncation_error,
+                         _vacuum_sums, branch_distributions)
 
 SHRINK_FACTOR = 3.0
-# Fewest points a process scores when a level is split.  Timed in a fresh
-# process on a 2-vCPU host, a split two-level search broke even with a
-# serial one at 343-392 points a level and took 82% of its time at 512, so a
-# split level holds at least 2 * 256 points.  Being above 62 keeps the
-# reference search's 125-point levels in one process.
+# Fewest points a process scores when a level is split; a level that can
+# split, of at least 2 * _POINTS_PER_PROCESS points, is scored as rows.
+# Timed in a fresh process on a 2-vCPU host (11-21 alternated runs), a
+# two-level search scored as rows took, split in two, 103-112% of its
+# one-process time at 512 points a level, 90% at 729, 78% at 1,000 and 73%
+# at 1,728.  A larger value would keep the levels below that break-even
+# whole, but would also score them one rate_for_point call per point, at
+# about 1.6 times the rows' cost, so it stays 256.  Being above 62 keeps
+# the reference search's 125-point levels in one process.
 _POINTS_PER_PROCESS = 256
+# Values in each of the two (rows, n_max + 1, nodes) quadrature arrays of a
+# block of rows: 32 rows at n_max 20 and 256 nodes.
+_BLOCK_VALUES = 32 * 21 * 256
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,6 +161,67 @@ def rate_for_point(mu1: float, mu2: float, t: float,
     return float(report.r_total), ""
 
 
+def _score_block(points: np.ndarray, space: SearchSpace) -> list[tuple[float, str]]:
+    """``rate_for_point`` of each (mu1, mu2, t) row of ``points``, in order,
+    through the steps it takes, over all rows at once; the first row whose
+    distributions are truncated raises its error."""
+    det, n_max = space.alice_detector, space.n_max
+    mu1, mu2, t = points.T
+    with np.errstate(all="ignore"):
+        # PulsePairParams' values and checks.
+        nu = mu1 + mu2
+        xi = 2.0 * space.overlap * np.sqrt(mu1 * mu2 * t * (1.0 - t))
+        mean_mode_a = mu1 * t + mu2 * (1.0 - t)
+        invalid = ~((mu1 >= 0.0) & (mu2 >= 0.0) & (0.0 <= t) & (t <= 1.0)
+                    & (xi <= nu + 1e-15))
+        # branch_distributions: a row without light, or an invalid one, goes
+        # through the quadrature as a stand-in source and takes the vacuum's.
+        light = ~invalid & (nu > 0.0)
+        sums = _phase_averages(np.where(light, nu, 1.0)[:, None],
+                               np.where(light, xi, 0.0)[:, None],
+                               np.where(light, mean_mode_a, 1.0)[:, None],
+                               det, n_max, space.theta_nodes)
+        sums[~light] = _vacuum_sums(det, n_max)
+        tail = 1.0 - sums[:, 0].sum(axis=-1)
+        truncated = np.flatnonzero(~invalid & (tail > space.tail_tol))
+        if truncated.size:
+            first = truncated[0]
+            raise _truncation_error(float(tail[first]), n_max, space.tail_tol,
+                                    float(nu[first]))
+        # predicted_statistics and ObservedStatistics' checks.
+        yields, err_mass = _channel_yields(space.channel, n_max)
+        _, p_noclick, p_click = sums.transpose(1, 0, 2)
+        q_c, q_nc = _row_dots(p_click, yields), _row_dots(p_noclick, yields)
+        e_c = np.where(q_c > 0.0, _row_dots(p_click, err_mass) / q_c, 0.0)
+        e_nc = np.where(q_nc > 0.0, _row_dots(p_noclick, err_mass) / q_nc, 0.0)
+        for value in (q_c, e_c, q_nc, e_nc):
+            invalid |= ~((0.0 <= value) & (value <= 1.0))
+    rates, no_yield, chain_invalid, degenerate = source_rate_rows(
+        [sums[:, k, :3].T for k in (2, 1, 0)], q_c, e_c, q_nc, e_nc,
+        space.key_params)
+    invalid |= chain_invalid
+    flags = np.where(invalid, "invalid", np.where(
+        degenerate, "degenerate", np.where(no_yield, "no_yield", "")))
+    return list(zip(np.where(invalid | degenerate, 0.0, rates).tolist(),
+                    flags.tolist()))
+
+
+def _score_rows(coords: list, space: SearchSpace) -> list[tuple[float, str]]:
+    """``rate_for_point`` of each (mu1, mu2, t) in ``coords``, in order, with
+    its bits, scored in blocks of rows; the first point in ``coords`` whose
+    ``rate_for_point`` raises raises the same error."""
+    try:
+        _check_unit_interval("overlap", space.overlap)
+        _check_counts(space.n_max, space.theta_nodes)
+    except ParameterError:  # as rate_for_point meets it at every point
+        return [(0.0, "invalid")] * len(coords)
+    rows = max(1, _BLOCK_VALUES // ((space.n_max + 1) * space.theta_nodes))
+    scored = []
+    for lo in range(0, len(coords), rows):
+        scored += _score_block(np.array(coords[lo:lo + rows], dtype=float), space)
+    return scored
+
+
 def _process_count(points: int) -> int:
     """Processes to score a level of ``points`` points: one per usable CPU,
     but no more than give each ``_POINTS_PER_PROCESS`` points, and at least
@@ -181,16 +254,26 @@ def _score(coords: list, space: SearchSpace, pool=None,
            processes: int = 1) -> list[tuple[float, str]]:
     """``rate_for_point`` of each (mu1, mu2, t) in ``coords``, in order.
 
+    A level of at least ``2 * _POINTS_PER_PROCESS`` points is scored as rows.
+    A smaller one takes one ``rate_for_point`` call per point for one reason
+    only: ``perfbench/tests/test_trace.py`` counts 250 ``rate_for_point`` and
+    250 ``branch_distributions`` calls on the reference search (125-point
+    levels), and a change that claims a speed-up may not edit the benchmark.
+    Once the benchmark counts spans instead (ROADMAP items 1 and 9), this
+    branch goes.
     With ``processes`` above 1, ``coords`` is cut into that many contiguous
     parts: this process scores the first while ``pool`` scores the others,
     whose results are taken in part order, so the first failing point in
     ``coords`` raises.
     """
     bounds = [len(coords) * k // processes for k in range(processes + 1)]
-    futures = [pool.submit(_score, coords[lo:hi], space)
+    futures = [pool.submit(_score_rows, coords[lo:hi], space)
                for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    scored = [rate_for_point(m1, m2, tt, space)
-              for m1, m2, tt in coords[:bounds[1]]]
+    if len(coords) >= 2 * _POINTS_PER_PROCESS:
+        scored = _score_rows(coords[:bounds[1]], space)
+    else:
+        scored = [rate_for_point(m1, m2, tt, space)
+                  for m1, m2, tt in coords[:bounds[1]]]
     for future in futures:
         scored.extend(future.result())
     return scored

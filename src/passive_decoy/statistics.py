@@ -146,17 +146,21 @@ def _check_integer(name: str, value: int) -> None:
             f"{name} must be an integer (got {excerpt(repr(value), str)})")
 
 
-def theta_nodes(count: int) -> np.ndarray:
-    """Midpoint quadrature nodes on [0, 2*pi).
-
-    Callers take the count as ``nodes``, so errors name it that way.
-    """
+def _check_node_count(count: int) -> None:
     _check_integer("nodes", count)
     if count < 4:
         raise ParameterError(f"theta node count must be >= 4 (got {excerpt(count)})")
     if count > MAX_THETA_NODES:
         raise ParameterError(
             f"theta node count must be <= {MAX_THETA_NODES} (got {excerpt(count)})")
+
+
+def theta_nodes(count: int) -> np.ndarray:
+    """Midpoint quadrature nodes on [0, 2*pi).
+
+    Callers take the count as ``nodes``, so errors name it that way.
+    """
+    _check_node_count(count)
     return 2.0 * np.pi * (np.arange(count) + 0.5) / count
 
 
@@ -166,6 +170,83 @@ def _node_cosines(count: int) -> np.ndarray:
     cosines = np.cos(theta_nodes(count))
     cosines.flags.writeable = False
     return cosines
+
+
+def _check_counts(n_max: int, nodes: int) -> None:
+    """The checks ``branch_distributions`` makes of its photon-number cutoff
+    and node count before it looks at the source."""
+    _check_integer("n_max", n_max)
+    if not 2 <= n_max <= PHOTON_NUMBER_CAP:
+        raise ParameterError(
+            f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {excerpt(n_max)})")
+    _check_node_count(nodes)
+
+
+def _vacuum_sums(det: ThresholdDetector, n_max: int) -> np.ndarray:
+    """``(p_total, p_noclick, p_click)`` of a source that emits nothing."""
+    sums = np.zeros((3, n_max + 1))
+    sums[:, 0] = (1.0, 1.0 - det.epsilon, det.epsilon)
+    return sums
+
+
+def _phase_averages(nu, xi, mean_mode_a, det: ThresholdDetector, n_max: int,
+                    nodes: int) -> np.ndarray:
+    """``(p_total, p_noclick, p_click)`` of a source with light, by the phase
+    quadrature: shape ``(3, n_max + 1)``.
+
+    ``nu``, ``xi`` and ``mean_mode_a`` are the ``PulsePairParams`` values of
+    one source, as floats, or of one source per row, as ``(rows, 1)``
+    columns; then the result has shape ``(rows, 3, n_max + 1)`` and each row
+    the bits its source gives alone.  Every ``nu`` must be positive.  The
+    counts must pass ``_check_counts``.
+    """
+    # params.gamma(theta), lam_a = nu * gamma and lam_b = nu * (1 - gamma),
+    # formed in place: IEEE + and * commute.
+    lam_a = _node_cosines(nodes) * xi
+    lam_a += mean_mode_a
+    lam_a /= nu
+    lam_b = np.subtract(1.0, lam_a)
+    lam_b *= nu
+    lam_a *= nu
+    rows = lam_a.shape[:-1]
+    # Poisson pmf of the kept mode for n = 0..n_max at each node, in log
+    # space; a rate <= 0 takes log(1), and a zero rate has all its mass at 0.
+    positive = lam_a.min() > 0.0
+    mats = np.empty((*rows, 2, n_max + 1, nodes))
+    pmf, weighted = mats[..., 0, :, :], mats[..., 1, :, :]
+    # A broadcast operand is copied out first: multiplying by a broadcast
+    # row is slower than copying it and multiplying arrays of one shape.
+    np.copyto(pmf, np.log(
+        lam_a if positive else np.where(lam_a > 0.0, lam_a, 1.0))[..., None, :])
+    pmf *= _PHOTON_NUMBERS[:n_max + 1, None]
+    pmf -= lam_a[..., None, :]
+    pmf -= _LOG_FACTORIAL[:n_max + 1, None]
+    np.exp(pmf, out=pmf)
+    if not positive:
+        np.copyto(pmf, _PHOTON_NUMBERS[:n_max + 1, None] == 0.0,
+                  where=(lam_a == 0.0)[..., None, :])
+    # The no-click weight (1 - epsilon) * exp(-lam_b * eta_d); -x*y == x*-y.
+    lam_b *= -det.eta_d
+    np.exp(lam_b, out=lam_b)
+    lam_b *= 1.0 - det.epsilon
+    # Phase averages: sum / nodes has the bits of mean(), and summing the
+    # contiguous last axis adds each row pairwise as a 1-d sum does.
+    sums = np.empty((*rows, 3, n_max + 1))
+    np.copyto(weighted, lam_b[..., None, :])
+    weighted *= pmf
+    mats.sum(axis=-1, out=sums[..., :2, :])
+    np.copyto(weighted, np.subtract(1.0, lam_b, out=lam_b)[..., None, :])
+    weighted *= pmf
+    weighted.sum(axis=-1, out=sums[..., 2, :])
+    sums /= nodes
+    return sums
+
+
+def _truncation_error(tail: float, n_max: int, tail_tol: float,
+                      nu: float) -> TruncationError:
+    return TruncationError(
+        f"tail mass {tail:.3e} beyond n_max={n_max} exceeds tolerance "
+        f"{tail_tol:.1e}; increase n_max for total intensity {nu:g}")
 
 
 def branch_distributions(params: PulsePairParams, det: ThresholdDetector,
@@ -182,57 +263,16 @@ def branch_distributions(params: PulsePairParams, det: ThresholdDetector,
     Raises:
         TruncationError: if the mass beyond ``n_max`` exceeds ``tail_tol``.
     """
-    _check_integer("n_max", n_max)
-    if not 2 <= n_max <= PHOTON_NUMBER_CAP:
-        raise ParameterError(
-            f"n_max must be within [2, {PHOTON_NUMBER_CAP}] (got {excerpt(n_max)})")
-    _check_integer("nodes", nodes)  # before a float count meets the cache
+    _check_counts(n_max, nodes)
     if params.nu <= 0.0:
-        theta_nodes(nodes)  # no phase integral, but the count is still checked
-        p_total = np.zeros(n_max + 1)
-        p_total[0] = 1.0
-        p_noclick = (1.0 - det.epsilon) * p_total
-        p_click = det.epsilon * p_total
+        sums = _vacuum_sums(det, n_max)
     else:
-        # params.gamma(theta), lam_a = nu * gamma and lam_b = nu * (1 - gamma),
-        # formed in place: IEEE + and * commute.
-        lam_a = _node_cosines(nodes) * params.xi
-        lam_a += params.mean_mode_a
-        lam_a /= params.nu
-        lam_b = np.subtract(1.0, lam_a)
-        lam_b *= params.nu
-        lam_a *= params.nu
-        # Poisson pmf of the kept mode for n = 0..n_max at each node, in log
-        # space; a rate <= 0 takes log(1), and a zero rate has all its mass at 0.
-        positive = lam_a.min() > 0.0
-        pmf, weighted = mats = np.empty((2, n_max + 1, nodes))
-        np.multiply.outer(_PHOTON_NUMBERS[:n_max + 1], np.log(
-            lam_a if positive else np.where(lam_a > 0.0, lam_a, 1.0)), out=pmf)
-        pmf -= lam_a
-        pmf -= _LOG_FACTORIAL[:n_max + 1, None]
-        np.exp(pmf, out=pmf)
-        if not positive:
-            zero = lam_a == 0.0
-            pmf[:, zero] = 0.0
-            pmf[0, zero] = 1.0
-        # The no-click weight (1 - epsilon) * exp(-lam_b * eta_d); -x*y == x*-y.
-        lam_b *= -det.eta_d
-        np.exp(lam_b, out=lam_b)
-        lam_b *= 1.0 - det.epsilon
-        # Phase averages: sum / nodes has the bits of mean(), and summing the
-        # contiguous last axis adds each row pairwise as a 1-d sum does.
-        sums = np.empty((3, n_max + 1))
-        np.multiply(pmf, lam_b, out=weighted)
-        mats.sum(axis=2, out=sums[:2])
-        np.multiply(pmf, np.subtract(1.0, lam_b, out=lam_b), out=weighted)
-        weighted.sum(axis=1, out=sums[2])
-        sums /= nodes
-        p_total, p_noclick, p_click = sums
+        sums = _phase_averages(params.nu, params.xi, params.mean_mode_a, det,
+                               n_max, nodes)
+    p_total, p_noclick, p_click = sums
     tail = 1.0 - float(p_total.sum())
     if tail > tail_tol:
-        raise TruncationError(
-            f"tail mass {tail:.3e} beyond n_max={n_max} exceeds tolerance "
-            f"{tail_tol:.1e}; increase n_max for total intensity {params.nu:g}")
+        raise _truncation_error(tail, n_max, tail_tol, params.nu)
     for arr in (p_click, p_noclick, p_total):
         arr.flags.writeable = False
     return BranchDistributions(n_max=n_max, p_click=p_click, p_noclick=p_noclick,

@@ -4,7 +4,9 @@ Run with ``pytest tests/test_acceptance.py -v`` (one pass/fail line per
 criterion) or add ``-s`` for the measured numbers.
 """
 
+import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -16,7 +18,7 @@ from passive_decoy import (AxisSpec, ChannelModel, KeyRateParams,
                            key_rate, monte_carlo_run, optimize,
                            predicted_statistics, write_records_csv)
 from passive_decoy.cli import main as cli_main
-from passive_decoy.optimize import rate_for_point
+from passive_decoy.optimize import _score_rows, rate_for_point
 from passive_decoy.reports import dump_json, keyrate_report_payload
 
 from conftest import (REFERENCE_DETECTOR, REFERENCE_RATE, channel_truth,
@@ -212,13 +214,16 @@ def test_criterion_7_optimizer_sanity(fitted_channel):
     fine_steps = [(a.hi - a.lo) / 3.0 / (a.points - 1) / 3.0 for a in axes]
     grids = [np.linspace(a.lo, a.hi, round((a.hi - a.lo) / s) + 1)
              for a, s in zip(axes, fine_steps)]
+    # The brute force scores its grid as rows, which give rate_for_point's
+    # bits, as a sample of points checks here.
+    fine = list(itertools.product(*(g.tolist() for g in grids)))
+    scored = _score_rows(fine, space)
+    for i in random.Random(7).sample(range(len(fine)), 200):
+        assert scored[i] == rate_for_point(*fine[i], space)
     brute_rate, brute_point = -1.0, None
-    for m1 in grids[0]:
-        for m2 in grids[1]:
-            for tt in grids[2]:
-                r, _ = rate_for_point(float(m1), float(m2), float(tt), space)
-                if r > brute_rate:
-                    brute_rate, brute_point = r, (float(m1), float(m2), float(tt))
+    for point, (r, _) in zip(fine, scored):
+        if r > brute_rate:
+            brute_rate, brute_point = r, point
     diffs = [abs(b - r) for b, r in zip(brute_point, result.best_point)]
     within_cell = all(dd <= ss * (1 + 1e-9) for dd, ss in zip(diffs, fine_steps))
 

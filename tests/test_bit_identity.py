@@ -2,12 +2,14 @@
 
 ``branch_distributions``, ``key_rate``, ``rate_for_point`` and
 ``scan_rate_vs_distance`` are compared with the forms kept in
-``reference_kernels``.  Floats are compared through ``repr``, ``hex`` or
+``reference_kernels``, and points the optimizer scores as rows with
+``rate_for_point``.  Floats are compared through ``repr``, ``hex`` or
 ``tobytes``, so a difference in the last bit, or in the sign of a zero,
 fails.  The Monte Carlo chunk sampler is compared with the photon-level
 sampler there in law, and exactly where a click probability is 0 or 1.
 """
 
+import importlib
 import itertools
 import math
 from dataclasses import asdict, replace
@@ -24,7 +26,7 @@ from passive_decoy import (AxisSpec, ChannelModel, KeyRateParams,
                            SearchSpace, ThresholdDetector, branch_distributions,
                            key_rate, scan_rate_vs_distance)
 from passive_decoy.bounds import key_rate_rows
-from passive_decoy.optimize import rate_for_point
+from passive_decoy.optimize import _score_rows, rate_for_point
 from passive_decoy.records import CSV_COLUMNS
 from passive_decoy.reports import dump_json, keyrate_report_payload
 from passive_decoy.channel import _channel_yields
@@ -34,6 +36,8 @@ from passive_decoy.statistics import _node_cosines, theta_nodes
 from conftest import REFERENCE_DETECTOR, UNDERFLOW_OBSERVED
 from test_acceptance import MC_CROSS_CHECK_SETS
 from test_bounds import synthetic_sweep_points
+
+optimize_module = importlib.import_module("passive_decoy.optimize")
 
 
 def outcome(fn, *args, **kwargs):
@@ -203,6 +207,24 @@ def point_bits(point, space):
     return spelled(rate_for_point), spelled(ref.rate_for_point)
 
 
+def rows_bits(points, space):
+    """The (rate, flag) of each point scored as rows, the rate spelled bit
+    for bit, or the error raised; and the same from ``rate_for_point`` one
+    point at a time, up to the first point that raises."""
+    try:
+        rows = [(rate.hex(), flag) for rate, flag in _score_rows(points, space)]
+    except Exception as exc:
+        rows = type(exc).__name__, str(exc)
+    points_bits = []
+    for point in points:
+        try:
+            rate, flag = rate_for_point(*point, space)
+        except Exception as exc:
+            return rows, (type(exc).__name__, str(exc))
+        points_bits.append((rate.hex(), flag))
+    return rows, points_bits
+
+
 def search_space(**changes):
     fields = dict(mu1=AxisSpec(0.1, 1.0, 2), mu2=AxisSpec(0.0, 0.2, 2),
                   t=AxisSpec(0.0, 1.0, 2), channel=bright_channel(fiber_length_km=10.0),
@@ -211,27 +233,53 @@ def search_space(**changes):
     return SearchSpace(**fields)
 
 
+def random_spaces():
+    """2,000 random search spaces, each with a random point."""
+    rng = np.random.default_rng(8192)
+    # Channels are drawn from five, so that the package's channel cache
+    # is both hit and missed.
+    channels = [bright_channel(fiber_length_km=rng.uniform(0.0, 150.0),
+                               misalignment=rng.uniform(0.0, 0.2))
+                for _ in range(5)]
+    for i in range(2000):
+        space = search_space(
+            channel=channels[i % len(channels)],
+            alice_detector=ThresholdDetector(epsilon=10 ** rng.uniform(-8.0, -2.0),
+                                             eta_d=rng.uniform(0.0, 1.0)),
+            key_params=KeyRateParams(f=rng.uniform(1.0, 1.5),
+                                     e0=rng.uniform(0.05, 1.0)),
+            overlap=float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])),
+            n_max=int(rng.integers(8, 41)),
+            theta_nodes=int(rng.choice([4, 5, 16, 64, 255, 256])),
+            tail_tol=1e-6)
+        point = (rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+        yield space, point
+
+
+EDGE_POINTS = [
+    (0.0, 0.0, 0.5),      # vacuum
+    (0.0, 0.5, 0.5),      # mu1 = 0
+    (0.5, 0.0, 0.5),      # mu2 = 0
+    (0.64, 0.08, 0.0),    # t = 0
+    (0.64, 0.08, 1.0),    # t = 1
+    (0.3, 0.3, 0.5),      # gamma = 0 at theta = pi, a node for odd counts
+    (0.64, 0.08, 0.5),
+    (-0.1, 0.08, 0.5),    # invalid
+    (0.64, 0.08, 1.5),    # invalid
+]
+
+
+def edge_spaces(nodes):
+    spaces = [search_space(theta_nodes=nodes, overlap=overlap)
+              for overlap in (0.0, 1.0)]
+    spaces.append(replace(spaces[1], channel=bright_channel(fiber_length_km=400.0)))
+    return spaces
+
+
 class TestRateForPoint:
     def test_random_points(self):
-        rng = np.random.default_rng(8192)
         seen = set()
-        # Channels are drawn from five, so that the package's channel cache
-        # is both hit and missed.
-        channels = [bright_channel(fiber_length_km=rng.uniform(0.0, 150.0),
-                                   misalignment=rng.uniform(0.0, 0.2))
-                    for _ in range(5)]
-        for i in range(2000):
-            space = search_space(
-                channel=channels[i % len(channels)],
-                alice_detector=ThresholdDetector(epsilon=10 ** rng.uniform(-8.0, -2.0),
-                                                 eta_d=rng.uniform(0.0, 1.0)),
-                key_params=KeyRateParams(f=rng.uniform(1.0, 1.5),
-                                         e0=rng.uniform(0.05, 1.0)),
-                overlap=float(rng.choice([0.0, 1.0, rng.uniform(0.0, 1.0)])),
-                n_max=int(rng.integers(8, 41)),
-                theta_nodes=int(rng.choice([4, 5, 16, 64, 255, 256])),
-                tail_tol=1e-6)
-            point = (rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+        for i, (space, point) in enumerate(random_spaces()):
             new, old = point_bits(point, space)
             assert new == old, (i, point, space)
             seen.add(new[1])
@@ -239,23 +287,10 @@ class TestRateForPoint:
 
     @pytest.mark.parametrize("nodes", [4, 5, 256, 1000])
     def test_edges(self, nodes):
-        points = [
-            (0.0, 0.0, 0.5),      # vacuum
-            (0.0, 0.5, 0.5),      # mu1 = 0
-            (0.5, 0.0, 0.5),      # mu2 = 0
-            (0.64, 0.08, 0.0),    # t = 0
-            (0.64, 0.08, 1.0),    # t = 1
-            (0.3, 0.3, 0.5),      # gamma = 0 at theta = pi, a node for odd counts
-            (0.64, 0.08, 0.5),
-            (-0.1, 0.08, 0.5),    # invalid
-            (0.64, 0.08, 1.5),    # invalid
-        ]
-        spaces = [search_space(theta_nodes=nodes, overlap=overlap)
-                  for overlap in (0.0, 1.0)]
-        spaces.append(replace(spaces[1], channel=bright_channel(fiber_length_km=400.0)))
+        spaces = edge_spaces(nodes)
         seen = set()
         for space in spaces:
-            for point in points:
+            for point in EDGE_POINTS:
                 new, old = point_bits(point, space)
                 assert new == old, (point, space)
                 seen.add(new[1])
@@ -263,7 +298,7 @@ class TestRateForPoint:
         # A subnormal e0 makes every point invalid, where the reference
         # divides by zero over numpy scalars.
         subnormal = replace(spaces[1], key_params=KeyRateParams(e0=5e-324))
-        for point in points:
+        for point in EDGE_POINTS:
             assert rate_for_point(*point, subnormal) == (0.0, "invalid")
 
     def test_cached_arrays_are_read_only(self):
@@ -271,6 +306,74 @@ class TestRateForPoint:
                     *_channel_yields(bright_channel(), 20)):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
+
+
+class TestScoreRows:
+    """Points scored as rows give what ``rate_for_point`` gives."""
+
+    def test_random_spaces(self):
+        # Each random space scores its point and four more as one block.
+        rng = np.random.default_rng(4096)
+        seen = set()
+        for i, (space, point) in enumerate(random_spaces()):
+            points = [point, *((rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0),
+                                rng.uniform(0.0, 1.0)) for _ in range(4))]
+            rows, points_bits = rows_bits(points, space)
+            assert rows == points_bits, (i, points, space)
+            seen |= ({rows[0]} if isinstance(rows, tuple)
+                     else {flag for _, flag in rows})
+        assert {"", "degenerate", "no_yield", "TruncationError"} <= seen, seen
+
+    @pytest.mark.parametrize("nodes", [4, 5, 255, 256, 1000])
+    def test_edges(self, nodes):
+        spaces = edge_spaces(nodes)
+        spaces += [replace(spaces[1], key_params=KeyRateParams(e0=5e-324)),
+                   replace(spaces[1], n_max=1), replace(spaces[1], n_max=2),
+                   replace(spaces[1], overlap=1.5),
+                   replace(spaces[1], alice_detector=ThresholdDetector(0.0, 0.0)),
+                   replace(spaces[1], alice_detector=ThresholdDetector(1.0, 0.5))]
+        # Rows nobody would search, which rate_for_point still scores.
+        points = EDGE_POINTS + [(math.nan, 0.1, 0.5), (1e200, 1e200, 0.5),
+                                (0.1, 0.2, -0.0), (-0.0, -0.0, 0.5)]
+        seen = set()
+        for space in spaces:
+            rows, points_bits = rows_bits(points, space)
+            assert rows == points_bits, space
+            seen |= ({rows[0]} if isinstance(rows, tuple)
+                     else {flag for _, flag in rows})
+        assert seen == {"", "degenerate", "no_yield", "invalid", "TruncationError"}
+
+    def test_statistics_outside_their_range_are_invalid(self):
+        # 800 photons at the monitor put the whole kept mode in the click
+        # branch, and a receiver that always clicks makes its gain the sum
+        # of the branch, 1 give or take a rounding: above 1 at 0.1 and 0.2,
+        # where ObservedStatistics rejects it before the chain finds the
+        # factorized source degenerate.
+        space = search_space(
+            alice_detector=ThresholdDetector(epsilon=0.0, eta_d=0.875),
+            channel=bright_channel(bob_detector=ThresholdDetector(1.0, 0.5)))
+        points = [(mu1, 800.0, 1.0) for mu1 in (0.05, 0.1, 0.15, 0.2)]
+        rows, points_bits = rows_bits(points, space)
+        assert rows == points_bits
+        assert [flag for _, flag in rows] == ["degenerate", "invalid"] * 2
+
+    def test_first_truncated_row_raises(self, monkeypatch):
+        # Blocks of two rows at n_max 8 and 256 nodes, where total
+        # intensities from 1.3 up are truncated.  The first truncated point,
+        # at 1.3, is the second row of the second block; two later ones, at
+        # 2.1 and 1.6, would raise with other messages.
+        monkeypatch.setattr(optimize_module, "_BLOCK_VALUES", 2 * 9 * 256)
+        space = search_space(n_max=8, tail_tol=1e-7)
+        points = [(0.3, 0.1, 0.5), (0.5, 0.1, 0.5), (0.8, 0.1, 0.5),
+                  (1.2, 0.1, 0.5), (1.0, 0.1, 0.5), (2.0, 0.1, 0.5),
+                  (1.5, 0.1, 0.5)]
+        rows, points_bits = rows_bits(points, space)
+        assert rows == points_bits
+        assert rows[0] == "TruncationError"
+        assert rows[1].endswith("increase n_max for total intensity 1.3")
+        rows, points_bits = rows_bits(points[:3] + points[4:5], space)
+        assert rows == points_bits
+        assert {flag for _, flag in rows} == {""}
 
 
 def bright_channel(**changes):

@@ -7,6 +7,9 @@ from passive_decoy import (ChannelModel, DegenerateSourceError, KeyRateParams,
                            branch_distributions, key_rate,
                            predicted_statistics)
 
+from passive_decoy.bounds import key_rate_rows, source_rate_rows
+from passive_decoy.statistics import BranchDistributions
+
 from conftest import REFERENCE_RATE, channel_truth
 
 # Frozen from a 40-digit evaluation of -x*log2(x) - (1-x)*log2(1-x) at x=1/4.
@@ -123,6 +126,38 @@ class TestY0Bounds:
 
 
 class TestSinglePhotonBound:
+    def test_degenerate_elimination_raises(self, reference_obs):
+        # Heads whose background denominator is about 0.01 but whose
+        # single-photon one is 0.2 * 0.1 - 0.1 * 0.2 = 0.
+        pc, pnc = np.array([0.1, 0.1, 0.1]), np.array([0.2, 0.1, 0.1])
+        dists = BranchDistributions(n_max=2, p_click=pc, p_noclick=pnc,
+                                    p_total=pc + pnc, tail_mass=0.0)
+        message = r"^single-photon-yield denominator 0\.000e\+00 is below 1e-15;"
+        with pytest.raises(DegenerateSourceError, match=message):
+            key_rate(dists, reference_obs)
+        stats = [np.array([getattr(reference_obs, name)])
+                 for name in ("q_c", "e_c", "q_nc", "e_nc")]
+        with pytest.raises(DegenerateSourceError, match=message):
+            key_rate_rows(dists, *stats)
+        heads = [p[:3, None] for p in (pc, pnc, pc + pnc)]
+        _, _, invalid, degenerate = source_rate_rows(heads, *stats)
+        assert (invalid.tolist(), degenerate.tolist()) == ([False], [True])
+
+    def test_undefined_e1_is_invalid(self):
+        # Y0_upper overflows to inf through a subnormal e0 and the vacuum
+        # coefficient is 0, so Y1 and e1 are nan; binary_entropy rejects it.
+        pc, pnc = np.array([0.5, 0.2, 0.05]), np.array([0.5, 0.1, 0.05])
+        dists = BranchDistributions(n_max=2, p_click=pc, p_noclick=pnc,
+                                    p_total=pc + pnc, tail_mass=0.0)
+        obs = ObservedStatistics(q_c=0.01, e_c=0.5, q_nc=0.02, e_nc=0.5)
+        params = KeyRateParams(e0=1e-311)
+        with pytest.raises(ParameterError, match=r"\(got nan\)$"):
+            key_rate(dists, obs, params)
+        stats = [np.array([getattr(obs, name)]) for name in ("q_c", "e_c", "q_nc", "e_nc")]
+        _, _, invalid, degenerate = source_rate_rows(
+            [p[:3, None] for p in (pc, pnc, pc + pnc)], *stats, params)
+        assert (invalid.tolist(), degenerate.tolist()) == ([True], [False])
+
     def test_zero_gains_clamp_to_zero(self, reference_dists):
         report = key_rate(reference_dists, ObservedStatistics(0.0, 0.0, 0.0, 0.0))
         assert report.y0_upper == 0.0

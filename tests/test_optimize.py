@@ -2,6 +2,7 @@ import concurrent.futures
 import importlib
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -209,18 +210,43 @@ class TestSplitLevels:
     @forks
     def test_dead_worker_is_an_unexpected_error(self, monkeypatch, tmp_path,
                                                 capsys):
-        parent = os.getpid()
+        parent, score_block = os.getpid(), optimize_module._score_block
 
         def dies_in_a_worker(*args):
             if os.getpid() != parent:
                 os._exit(9)
-            return rate_for_point(*args)
+            return score_block(*args)
         self.force_split(monkeypatch)
-        monkeypatch.setattr(optimize_module, "rate_for_point", dies_in_a_worker)
+        monkeypatch.setattr(optimize_module, "_score_block", dies_in_a_worker)
         assert cli.main(["optimize", "--config", split_config(tmp_path),
                          "--out", str(tmp_path / "opt.csv")]) == cli.EXIT_UNEXPECTED
         assert capsys.readouterr().err.startswith("error: BrokenProcessPool: ")
         assert not (tmp_path / "opt.csv").exists()
+
+    @forks
+    def test_rows_search_finds_a_positive_argmax(self, monkeypatch, tmp_path):
+        # 512-point levels are scored as rows and, on two CPUs, cut in two.
+        # Unlike the reference search, whose every rate is 0, this grid
+        # reaches positive rates, so its best point is a real argmax.
+        space = replace(cli._search_space(load_run_config(split_config(tmp_path))),
+                        mu1=AxisSpec(0.14, 1.14, 8), mu2=AxisSpec(0.02, 0.14, 8),
+                        t=AxisSpec(0.3, 0.7, 8))
+        blocks, score_block = [], optimize_module._score_block
+        monkeypatch.setattr(optimize_module, "_score_block",
+                            lambda *args: blocks.append(1) or score_block(*args))
+        usable_cpus(monkeypatch, 1)
+        serial = optimize(space)
+        assert len(blocks) == 2 * 512 // 32
+        usable_cpus(monkeypatch, 2)
+        assert optimize_module._process_count(512) == 2
+        assert optimize(space) == serial
+        points = [rate_for_point(p.mu1, p.mu2, p.t, space) for p in serial.trace]
+        assert [(p.rate, p.flag) for p in serial.trace] == points
+        rates = [rate for rate, _ in points]
+        assert sum(rate > 0.0 for rate in rates) > 500
+        best = serial.trace[rates.index(max(rates))]
+        assert serial.best_rate == best.rate > 0.0
+        assert serial.best_point == (best.mu1, best.mu2, best.t)
 
     def test_reference_search_stays_in_process(self, monkeypatch, tmp_path):
         def no_pool(*args, **kwargs):

@@ -334,6 +334,59 @@ class TestIngestValidation:
             ingest("a,b,c\n0,0,0\n")
 
 
+class TestIndexOrder:
+    """Each record's index is greater than the one before it."""
+
+    @pytest.mark.parametrize("indices,record,message", [
+        ([0, 1, 1, 2], 3, "previous record's 1 (got 1)"),
+        ([5, 7, 6, 8], 3, "previous record's 7 (got 6)"),
+        ([3, 0], 2, "previous record's 3 (got 0)"),
+    ], ids=["duplicate", "decrease", "to_zero"])
+    def test_in_one_block(self, indices, record, message, tmp_path):
+        path, out = tmp_path / "records.csv", tmp_path / "stats.json"
+        batch = random_batch(np.random.default_rng(record), indices)
+        path.write_text(CSV_HEADER + "\n" + reference_format(batch))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["ingest", str(path), "--out", str(out)])
+        assert (code, err.getvalue()) == (
+            cli.EXIT_PARSE, f"error: record {record}: field 'pulse_index' must "
+            f"be greater than the {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("step", [0, -1, -1000])
+    def test_across_a_read_boundary(self, step, tmp_path, monkeypatch):
+        # The first record of the second block repeats or undercuts the last
+        # index of the first; each block is in order on its own.
+        monkeypatch.setattr(records, "_READ_BYTES", 10_000)
+        path = tmp_path / "records.csv"
+        batch = random_batch(np.random.default_rng(9), np.arange(2000, 4000))
+        path.write_text(CSV_HEADER + "\n" + reference_format(batch))
+        with open(path, "rb") as fh:
+            blocks = list(records._file_blocks(fh))
+        first = blocks[0].count(b"\n")
+        batch.pulse_index[first:] += step - 1
+        path.write_text(CSV_HEADER + "\n" + reference_format(batch))
+        with open(path, "rb") as fh:
+            assert next(records._file_blocks(fh)).count(b"\n") == first
+        last = 2000 + first - 1
+        with pytest.raises(IngestError) as info:
+            ingest_records(str(path))
+        assert str(info.value) == (
+            f"record {first + 1}: field 'pulse_index' must be greater than the "
+            f"previous record's {last} (got {last + step})")
+
+    @pytest.mark.parametrize("body,message", [
+        ("0,0,0,0,0,0,\n1,0,0,2,0,0,\n0,0,0,0,0,0,\n", "record 2: field 'alice_bit'"),
+        ("0,0,0,0,0,0,\n0,0,0,0,0,0,\n1,0,0,2,0,0,\n", "record 2: field 'pulse_index'"),
+    ], ids=["grammar_first", "order_first"])
+    def test_the_first_bad_record_is_named(self, body, message, tmp_path):
+        path = tmp_path / "records.csv"
+        path.write_text(CSV_HEADER + "\n" + body)
+        with pytest.raises(IngestError, match=f"^{message}"):
+            ingest_records(str(path))
+
+
 class TestIngestValidationFromPath(TestIngestValidation):
     path_type = str
 
@@ -462,7 +515,8 @@ def parse_per_line(data):
     rows = []
     for n, line in enumerate(lines, 1):
         match = RECORD_LINE.fullmatch(line)
-        if not match or int(match[1]) > INT64.max:
+        if (not match or int(match[1]) > INT64.max
+                or rows and int(match[1]) <= rows[-1][0]):
             return f"record {n}: "
         detected, _, bob = match[6].partition(b",")
         rows.append([int(v) for v in match.groups()[:5]]
@@ -521,7 +575,8 @@ def test_any_line_ends_parse_as_per_line(data, endings, read, tmp_path_factory):
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(index=st.lists(st.one_of(st.sampled_from([0, 9, 10, INT64.max]),
-                                st.integers(0, INT64.max)), min_size=1, max_size=40),
+                                st.integers(0, INT64.max)), min_size=1, max_size=40,
+                      unique=True).map(sorted),
        ending=st.sampled_from([b"\n", b"\r\n", b"\r"]), last_end=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_every_formatted_batch_parses_back(index, ending, last_end, seed,
