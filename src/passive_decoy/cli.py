@@ -86,9 +86,8 @@ def cmd_keyrate(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     from .config import load_run_config
-    from .records import open_records_csv
     from .reports import dump_json, replace_on_success, stats_payload
-    from .simulate import monte_carlo_run
+    from .simulate import simulate_to_csv
     config = load_run_config(args.config)
     if config.channel is None:
         raise ConfigError("simulate requires a channel section in the config")
@@ -112,10 +111,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # no sifted pulses, writes neither (devices and FIFOs are written as
     # they go).
     with replace_on_success(args.out, stats_out) as (records_temp, stats_temp):
-        with open_records_csv(records_temp) as write:
-            tallies = monte_carlo_run(config.source, config.alice_detector,
-                                      config.channel, args.pulses, seed,
-                                      record_sink=write)
+        tallies = simulate_to_csv(config.source, config.alice_detector,
+                                  config.channel, args.pulses, seed, records_temp)
         provenance = {**tallies.provenance(args.out),
                       "seed": seed, "pulses": tallies.pulses}
         text = dump_json(stats_payload(tallies.to_observed(), provenance))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -37,8 +36,8 @@ from .channel import (ChannelModel, _channel_yields, _row_dots,
                       predicted_statistics, predicted_statistics_over_lengths)
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
                          PulsePairParams, ThresholdDetector, _check_counts,
-                         _check_unit_interval, _phase_averages, _truncation_error,
-                         _vacuum_sums, branch_distributions)
+                         _check_unit_interval, _phase_averages, _process_count,
+                         _truncation_error, _vacuum_sums, branch_distributions)
 
 SHRINK_FACTOR = 3.0
 # Fewest points a process scores when a level is split; a level that can
@@ -222,17 +221,6 @@ def _score_rows(coords: list, space: SearchSpace) -> list[tuple[float, str]]:
     return scored
 
 
-def _process_count(points: int) -> int:
-    """Processes to score a level of ``points`` points: one per usable CPU,
-    but no more than give each ``_POINTS_PER_PROCESS`` points, and at least
-    this one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = 1
-    return max(1, min(cpus, points // _POINTS_PER_PROCESS))
-
-
 def _pool(processes: int):
     """A pool of ``processes - 1`` forked workers, or none for one process.
 
@@ -311,7 +299,7 @@ def optimize(space: SearchSpace) -> OptimizationResult:
     best: GridPoint | None = None
     # Refinement keeps each axis's point count, so every level has one size.
     processes = _process_count(space.mu1.points * space.mu2.points
-                               * space.t.points)
+                               * space.t.points, _POINTS_PER_PROCESS)
     with _pool(processes) as pool:
         for level in range(space.refinement_levels):
             points = _evaluate_grid(level, axes, space, pool, processes)

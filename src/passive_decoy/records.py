@@ -38,6 +38,7 @@ making round trips bit-identical.
 from __future__ import annotations
 
 import contextlib
+import os
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -169,6 +170,11 @@ def format_batch_csv(batch: RecordBatch) -> str:
         ValueError: if ``pulse_index`` is negative, or a flag, or ``bob_bit``
             where detected, is not 0 or 1.
     """
+    return str(_format_bytes(batch).data, "ascii")
+
+
+def _format_bytes(batch: RecordBatch) -> np.ndarray:
+    """``format_batch_csv``'s text as an array of its ASCII bytes."""
     code = np.zeros(len(batch), dtype=np.uint8)
     for k, name in enumerate(_FLAG_COLUMNS):
         column = getattr(batch, name)
@@ -194,7 +200,29 @@ def format_batch_csv(batch: RecordBatch) -> str:
         cell += 48 if col == digits - 1 else 48 * (index != 0).view(np.uint8)
         rows["index"][:, col] = cell
         index = quotient
-    return str(flat[flat != 0].data, "ascii")
+    return flat[flat != 0]
+
+
+def _text_bytes(batch: RecordBatch) -> int:
+    """The length of ``format_batch_csv(batch)`` for a batch of consecutive
+    pulse indices: each record's index digits, 12 bytes of flags, commas and
+    line end, and a ``bob_bit`` byte where detected."""
+    lo, hi = int(batch.pulse_index[0]), int(batch.pulse_index[-1]) + 1
+    digits, power = hi - lo, 10
+    while power < hi:  # each index from ``power`` on has one digit more
+        digits += hi - max(lo, power)
+        power *= 10
+    return digits + 12 * (hi - lo) + int(np.count_nonzero(batch.detected))
+
+
+def _pwrite_batch(fd: int, batch: RecordBatch, offset: int) -> None:
+    """Write the lines of a batch to file descriptor ``fd`` from byte
+    ``offset`` on, a slice at a time, as ``open_records_csv`` appends them."""
+    for part in batch.slices(_FORMAT_ROWS):
+        data = _format_bytes(part)
+        while data.size:
+            written = os.pwrite(fd, data, offset)
+            data, offset = data[written:], offset + written
 
 
 @contextlib.contextmanager

@@ -13,22 +13,33 @@ Reproducibility: one seed drives a run.  The chunk defines the stream: each
 chunk of ``_CHUNK_PULSES`` pulses draws from its own substream in a fixed
 order.  The block is only the unit of work: chunks are sampled, tallied and
 sunk ``_BLOCK_PULSES`` (65,536) pulses at a time, in arrays made for each
-block, four of the record writer's slices, and the block size reaches no
-output.
+block, four of the record writer's slices, and each block positions its own
+generators on its chunk's substream.  So neither the block size nor which
+process samples a block reaches any output: ``simulate_to_csv`` deals the
+blocks of a run written to a regular file round-robin to forked worker
+processes, one per usable CPU, and the file holds the bytes that one
+process writes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .channel import ChannelModel, predicted_statistics  # noqa: F401 (re-exported)
 from .errors import ParameterError, excerpt
-from .records import _FORMAT_ROWS, RecordBatch, TallyCounts
+from .records import (_FORMAT_ROWS, CSV_HEADER, RecordBatch, TallyCounts,
+                      _pwrite_batch, _text_bytes, open_records_csv)
 from .statistics import (DEFAULT_THETA_NODES, PulsePairParams,
-                         ThresholdDetector, _check_integer, theta_nodes)
+                         ThresholdDetector, _check_integer, _process_count,
+                         theta_nodes)
 
 # Pulses per Monte Carlo chunk.  Fixed (not configurable): the chunk defines
 # the stream of random draws, and therefore every output.
@@ -37,16 +48,28 @@ _CHUNK_PULSES = 1 << 20
 # block's 4-bit draws start on a fresh 32-bit draw, as one call's would, and
 # of the writer's slice, so that no slice is short.
 _BLOCK_PULSES = 4 * _FORMAT_ROWS
+# Fewest blocks a process samples when a run to a file is split.  Timed in
+# one process on a 2-vCPU host (medians of 21 alternated runs), a run split
+# in two took 85% of its one-process time at 2 blocks, 84% at 3, 65-70% at
+# 4 and 55% at 24, so a run of two blocks is split.
+_BLOCKS_PER_PROCESS = 1
 
 
-def _chunk_draws(stream: np.random.SeedSequence, size: int) -> list[np.random.Generator]:
-    """Generators on a chunk's stream advanced to its sections (theta, the
-    monitor's u, the 4-bit draw, the wrong and the right detector's u): the
-    draws of one generator, each section taken in one call.  A float takes
-    a 64-bit output; an ``int8`` takes a byte of a 32-bit half of one."""
+def _block_draws(stream: np.random.SeedSequence, size: int,
+                 offset: int) -> list[np.random.Generator]:
+    """Generators on the stream of a chunk of ``size`` pulses, positioned at
+    pulse ``offset`` of each of its sections (theta, the monitor's u, the
+    4-bit draw, the wrong and the right detector's u): the draws of one
+    generator, each section taken in one call.  A float takes a 64-bit
+    output; an ``int8`` takes a byte of a 32-bit half of one, the lower half
+    first, so pulse ``offset``, a multiple of 4, opens its 4-bit draw in the
+    upper half of an output where ``offset % 8`` is 4."""
     skip = (size + 7) // 8  # outputs of the 4-bit draw
-    return [np.random.Generator(np.random.PCG64(stream).advance(offset))
-            for offset in (0, size, 2 * size, 2 * size + skip, 3 * size + skip)]
+    draws = [np.random.Generator(np.random.PCG64(stream).advance(start))
+             for start in (offset, size + offset, 2 * size + offset // 8,
+                           2 * size + skip + offset, 3 * size + skip + offset)]
+    draws[2].integers(0, 16, offset % 8, dtype=np.int8)  # the lower half
+    return draws
 
 
 def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
@@ -59,7 +82,7 @@ def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
     # detector stays silent: it clicks when u >= s, so s = 0 or 1 holds
     # exactly.  Draw order is part of the reproducibility contract: theta,
     # the monitor's u, four fair bits, the wrong and the right detector's u.
-    # ``draws`` come from ``_chunk_draws``, at pulse ``start``.  The floats
+    # ``draws`` come from ``_block_draws``, at pulse ``start``.  The floats
     # are worked in place in three new rows: plain expressions give the same
     # bits, but sampled 3*2^19 pulses in 0.15-0.21 s where this takes
     # 0.09-0.13 s, and made simulate peak 1.4 MB higher.
@@ -121,6 +144,37 @@ def _simulate_chunk(params: PulsePairParams, det: ThresholdDetector,
         bob_bit=bob_bit)
 
 
+def _checked_run(n_pulses: int, seed: int) -> tuple[int, int]:
+    _check_integer("n_pulses", n_pulses)
+    _check_integer("seed", seed)
+    if n_pulses < 1:
+        raise ParameterError(f"n_pulses must be >= 1 (got {excerpt(n_pulses)})")
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0 (got {excerpt(seed)})")
+    return int(n_pulses), int(seed)  # PCG64.advance takes no np.int64
+
+
+def _sample_blocks(params: PulsePairParams, det: ThresholdDetector,
+                   ch: ChannelModel, n_pulses: int, seed: int, first: int = 0,
+                   step: int = 1) -> Iterator[RecordBatch]:
+    """Blocks ``first``, ``first + step``, ... of a run, sampled, in pulse
+    order; each positions its own generators on its chunk's stream."""
+    n_chunks = (n_pulses + _CHUNK_PULSES - 1) // _CHUNK_PULSES
+    blocks = ((i, lo) for i in range(n_chunks)
+              for lo in range(i * _CHUNK_PULSES,
+                              min(n_pulses, (i + 1) * _CHUNK_PULSES),
+                              _BLOCK_PULSES))
+    for i, lo in itertools.islice(blocks, first, None, step):
+        start = i * _CHUNK_PULSES
+        size = min(_CHUNK_PULSES, n_pulses - start)
+        # SeedSequence(seed).spawn(n_chunks)[i], made only as a block of
+        # chunk i starts.
+        draws = _block_draws(np.random.SeedSequence(seed, spawn_key=(i,)),
+                             size, lo - start)
+        yield _simulate_chunk(params, det, ch, lo,
+                              min(_BLOCK_PULSES, start + size - lo), draws)
+
+
 def monte_carlo_run(params: PulsePairParams, det: ThresholdDetector,
                     ch: ChannelModel, n_pulses: int, seed: int,
                     record_sink: Callable[[RecordBatch], None] | None = None
@@ -134,31 +188,174 @@ def monte_carlo_run(params: PulsePairParams, det: ThresholdDetector,
         record_sink: optional callable receiving the records in pulse
             order, a block at a time; aggregation happens either way.
     """
-    _check_integer("n_pulses", n_pulses)
-    _check_integer("seed", seed)
-    if n_pulses < 1:
-        raise ParameterError(f"n_pulses must be >= 1 (got {excerpt(n_pulses)})")
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0 (got {excerpt(seed)})")
-    n_pulses, seed = int(n_pulses), int(seed)  # PCG64.advance takes no np.int64
-    n_chunks = (n_pulses + _CHUNK_PULSES - 1) // _CHUNK_PULSES
+    n_pulses, seed = _checked_run(n_pulses, seed)
     tallies = TallyCounts()
-    for i in range(n_chunks):
-        start = i * _CHUNK_PULSES
-        size = min(_CHUNK_PULSES, n_pulses - start)
-        # SeedSequence(seed).spawn(n_chunks)[i], made only as chunk i starts.
-        draws = _chunk_draws(np.random.SeedSequence(seed, spawn_key=(i,)), size)
-        for lo in range(start, start + size, _BLOCK_PULSES):
-            batch = _simulate_chunk(params, det, ch, lo,
-                                    min(_BLOCK_PULSES, start + size - lo),
-                                    draws)
-            tallies.merge(TallyCounts.from_batch(batch))
-            if record_sink is not None:
-                record_sink(batch)
-            # Not held while the next block is sampled: held, it made
-            # simulate peak 1.2 MB higher.
-            del batch
+    for batch in _sample_blocks(params, det, ch, n_pulses, seed):
+        tallies.merge(TallyCounts.from_batch(batch))
+        if record_sink is not None:
+            record_sink(batch)
+        # Not held while the next block is sampled: held, it made
+        # simulate peak 1.2 MB higher.
+        del batch
     return tallies
+
+
+def simulate_to_csv(params: PulsePairParams, det: ThresholdDetector,
+                    ch: ChannelModel, n_pulses: int, seed: int,
+                    path: str) -> TallyCounts:
+    """``monte_carlo_run`` with its records written to the CSV file ``path``.
+
+    A run of at least ``2 * _BLOCKS_PER_PROCESS`` blocks to a regular file
+    is spread over every usable CPU by ``_split_run``.  Any other run, and
+    any other target (a FIFO or a device, which is written as it goes),
+    goes through ``monte_carlo_run`` and ``open_records_csv`` in this
+    process.  Either way the file and the tallies are the same.
+    """
+    n_pulses, seed = _checked_run(n_pulses, seed)
+    full, rest = divmod(n_pulses, _CHUNK_PULSES)
+    blocks = (full * -(-_CHUNK_PULSES // _BLOCK_PULSES)
+              + -(-rest // _BLOCK_PULSES))
+    processes = (_process_count(blocks, _BLOCKS_PER_PROCESS)
+                 if os.path.isfile(path) else 1)
+    if processes > 1:
+        return _split_run(params, det, ch, n_pulses, seed, path, processes)
+    with open_records_csv(path) as write:
+        return monte_carlo_run(params, det, ch, n_pulses, seed,
+                               record_sink=write)
+
+
+class _RunStopped(Exception):
+    """The process that samples the previous block stopped before passing
+    on its end."""
+
+
+def _write_blocks(run: tuple, rank: int, processes: int, out: int,
+                  ring: tuple[int, int]) -> TallyCounts:
+    """Sample, count and write blocks ``rank``, ``rank + processes``, ...
+    of ``run`` (params, det, ch, n_pulses, seed) into file descriptor
+    ``out``.
+
+    Each block, once sampled and counted, takes the offset of its text, the
+    previous block's end, from pipe end ``ring[0]``, and passes its own end
+    on to ``ring[1]`` before it formats and writes its text.
+    """
+    receive, send = ring
+    tallies = TallyCounts()
+    for batch in _sample_blocks(*run, rank, processes):
+        tallies.merge(TallyCounts.from_batch(batch))
+        offset = os.read(receive, 8)
+        if len(offset) < 8:
+            raise _RunStopped
+        offset = int.from_bytes(offset, "little")
+        # After the run's last block, or once the next process has stopped,
+        # no one reads the end; a stopped process reports why itself.
+        with contextlib.suppress(BrokenPipeError):
+            os.write(send, (offset + _text_bytes(batch)).to_bytes(8, "little"))
+        _pwrite_batch(out, batch, offset)
+        del batch  # not held while the next block is sampled
+    return tallies
+
+
+def _work(run: tuple, rank: int, processes: int, out: int,
+          ring: tuple[int, int], result: int, inherited: list[int]) -> NoReturn:
+    """A forked worker's whole life: it closes the parent's file
+    descriptors in ``inherited``, writes its share of the run, and pickles
+    its tallies, or what it raised, to pipe end ``result``."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            outcome = _write_blocks(run, rank, processes, out, ring)
+        except BaseException as exc:  # raised again by the parent
+            outcome = exc
+        # So that the processes waiting on this one see it stop.
+        os.close(ring[0])
+        os.close(ring[1])
+        with open(result, "wb") as fh:
+            pickle.dump(outcome, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _split_run(params: PulsePairParams, det: ThresholdDetector,
+               ch: ChannelModel, n_pulses: int, seed: int, path: str,
+               processes: int) -> TallyCounts:
+    """Sample, count and write a run's records to the regular file ``path``,
+    its blocks dealt round-robin to this process and ``processes - 1``
+    forked workers.
+
+    Block k's process takes block k - 1's end from a ring of pipes once
+    block k is counted, and passes block k's end on before it formats and
+    writes block k's text there.  So the file holds the bytes of the
+    one-process path, no record text crosses a process boundary, and each
+    process holds one block and one slice of text at a time.  Each worker
+    pipes back its tallies, or the exception it raised, which is raised
+    here; a worker that dies raises ``ChildProcessError``.  Every worker is
+    reaped, and killed first unless it finished, before this returns.
+    """
+    run = (params, det, ch, n_pulses, seed)
+    held = []  # file descriptors this process has still to close
+    workers = []  # (pid, read end of its result pipe), not yet reaped
+
+    def close(*fds):
+        for fd in fds:
+            held.remove(fd)
+            os.close(fd)
+
+    try:
+        pipes = []
+        for _ in range(processes):
+            pipes.append(os.pipe())
+            held += pipes[-1]
+        # Process k reads from pipe k and writes to pipe k + 1.
+        ring = [(pipes[k][0], pipes[(k + 1) % processes][1])
+                for k in range(processes)]
+        out = os.open(path, os.O_WRONLY | os.O_TRUNC)
+        held.append(out)
+        header = (CSV_HEADER + "\n").encode("ascii")
+        os.pwrite(out, header, 0)
+        os.write(ring[-1][1], len(header).to_bytes(8, "little"))
+        for rank in range(1, processes):
+            read, write = os.pipe()
+            held += read, write
+            pid = os.fork()
+            if pid == 0:
+                _work(run, rank, processes, out, ring[rank], write,
+                      [fd for fd in held if fd not in (*ring[rank], out, write)])
+            workers.append((pid, read))
+            close(write)
+        close(*(fd for pair in ring[1:] for fd in pair))
+        try:
+            tallies = _write_blocks(run, 0, processes, out, ring[0])
+        except _RunStopped:  # a worker stopped: its outcome says why
+            tallies = TallyCounts()
+        finally:
+            close(*ring[0])
+        while workers:
+            pid, read = workers[0]
+            held.remove(read)
+            with open(read, "rb") as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            try:
+                outcome = pickle.loads(data)  # written by the worker above
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError(f"a simulate worker exited with code "
+                                        f"{code}") from None
+            if isinstance(outcome, TallyCounts):
+                tallies.merge(outcome)
+            elif not isinstance(outcome, _RunStopped):
+                raise outcome
+        return tallies
+    finally:
+        for pid, _ in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in held:
+            os.close(fd)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,16 @@ REFERENCE_RATE = 1.50e-5
 # underflow to zero.
 UNDERFLOW_OBSERVED = dict(q_c=6.784e-321, e_c=0.20216467322520487,
                           q_nc=2.3526e-319, e_nc=0.10002609181006616)
+
+# A split optimize level or simulate run forks while numpy's BLAS threads
+# run, which Python 3.12 and later warn about.
+forks = pytest.mark.filterwarnings(
+    "ignore:This process .* is multi-threaded:DeprecationWarning")
+
+
+def usable_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
+                        raising=False)
 
 
 @pytest.fixture(scope="session")

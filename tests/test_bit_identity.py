@@ -30,7 +30,7 @@ from passive_decoy.optimize import _score_rows, rate_for_point
 from passive_decoy.records import CSV_COLUMNS
 from passive_decoy.reports import dump_json, keyrate_report_payload
 from passive_decoy.channel import _channel_yields
-from passive_decoy.simulate import _chunk_draws, _simulate_chunk
+from passive_decoy.simulate import _block_draws, _simulate_chunk
 from passive_decoy.statistics import _node_cosines, theta_nodes
 
 from conftest import REFERENCE_DETECTOR, UNDERFLOW_OBSERVED
@@ -481,7 +481,7 @@ def package_chunk(params, det, ch, start, size, entropy):
     """The package's sampler on the positioned draws of
     ``SeedSequence(entropy)``, which are one generator's draws on it."""
     return _simulate_chunk(params, det, ch, start, size,
-                           _chunk_draws(np.random.SeedSequence(entropy), size))
+                           _block_draws(np.random.SeedSequence(entropy), size, 0))
 
 
 def reference_chunk(params, det, ch, start, size, entropy):

@@ -8,6 +8,7 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from passive_decoy.cli import (EXIT_NO_KEY, EXIT_OK, EXIT_PARSE,
 from passive_decoy.records import CSV_HEADER
 from passive_decoy.reports import load_schema
 
-from conftest import REFERENCE_RATE, UNDERFLOW_OBSERVED
+from conftest import REFERENCE_RATE, UNDERFLOW_OBSERVED, forks, usable_cpus
 
 REPO_CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "reference.json")
 # sha256 of the records that simulate writes for the reference config and
@@ -213,28 +214,45 @@ class TestSimulateAndIngest:
         rel = lambda p: p.read_text().replace(str(p.parent), "")
         assert rel(a / "stats.json") == rel(b / "stats.json")
 
+    @forks
     @pytest.mark.parametrize("pulses, digest", RECORD_DIGESTS.items())
-    def test_records_keep_their_bytes(self, tmp_path, pulses, digest):
+    def test_records_keep_their_bytes(self, tmp_path, monkeypatch, pulses,
+                                      digest):
         # Chunk i draws from SeedSequence(seed).spawn(n)[i]: these digests
         # were written when every chunk's seed was spawned up front, and
-        # each chunk was sampled in one piece.
-        out = tmp_path / "records.csv"
-        assert run_cli("simulate", "--config", REPO_CONFIG, "--pulses",
-                       str(pulses), "--seed", "20261019", "--out", str(out),
-                       "--stats-out", os.devnull) == EXIT_OK
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        # each chunk was sampled in one piece, in one process.  A run of two
+        # blocks or more is split over three processes first, then runs on
+        # one CPU; both write the same records and statistics.
+        from passive_decoy import simulate
+        out, stats = tmp_path / "records.csv", tmp_path / "stats.json"
+        splits, split_run = [], simulate._split_run
+        monkeypatch.setattr(simulate, "_split_run",
+                            lambda *args: splits.append(args[-1]) or split_run(*args))
+        monkeypatch.setattr(simulate, "_BLOCKS_PER_PROCESS", 1)
+        texts = []
+        for cpus in (3, 1):
+            usable_cpus(monkeypatch, cpus)
+            assert run_cli("simulate", "--config", REPO_CONFIG, "--pulses",
+                           str(pulses), "--seed", "20261019", "--out", str(out),
+                           "--stats-out", str(stats)) == EXIT_OK
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+            texts.append(stats.read_text())
+        assert texts[0] == texts[1]
+        blocks = -(-pulses // simulate._BLOCK_PULSES)
+        assert splits == ([min(3, blocks)] if blocks > 1 else [])
 
     @pytest.mark.parametrize("block", [1000, 2 ** 14, 2 ** 16, 2 ** 20])
     def test_block_size_is_not_part_of_the_stream(self, tmp_path, monkeypatch,
                                                   block):
         # Two chunks, the second of 2^19 pulses: with 1000 its last block
-        # is short, with 2^20 each chunk is one block.  The writer's slices
-        # move with the sampler's block: 2^14 is the writer's default and
-        # 2^16 the sampler's, which the test above runs together.
+        # is short, with 2^20 each chunk is one block, so that the split run
+        # has two processes.  The writer's slices move with the sampler's
+        # block: 2^14 is the writer's default and 2^16 the sampler's, which
+        # the test above runs together.
         from passive_decoy import records, simulate
         monkeypatch.setattr(records, "_FORMAT_ROWS", block)
         monkeypatch.setattr(simulate, "_BLOCK_PULSES", block)
-        self.test_records_keep_their_bytes(tmp_path, 3 * 2 ** 19,
+        self.test_records_keep_their_bytes(tmp_path, monkeypatch, 3 * 2 ** 19,
                                            RECORD_DIGESTS[3 * 2 ** 19])
 
     def test_zero_pulses_rejected(self, config_path, tmp_path):
@@ -277,11 +295,14 @@ class TestSimulateAndIngest:
         assert "No such file or directory" in err and "nodir" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    @forks
     def test_failed_chunk_leaves_no_output(self, config_path, tmp_path,
                                            monkeypatch, capsys):
         # Three chunks; the second fails after the first was written out.
+        # Split, each chunk is one process's block, and the workers raise.
         from passive_decoy import simulate
         monkeypatch.setattr(simulate, "_CHUNK_PULSES", 1000)
+        monkeypatch.setattr(simulate, "_BLOCKS_PER_PROCESS", 1)
         real_chunk = simulate._simulate_chunk
 
         def failing_chunk(*args):
@@ -290,11 +311,44 @@ class TestSimulateAndIngest:
             return real_chunk(*args)
 
         monkeypatch.setattr(simulate, "_simulate_chunk", failing_chunk)
-        assert run_cli("simulate", "--config", config_path, "--pulses", "2500",
-                       "--seed", "3", "--out", str(tmp_path / "r.csv"),
+        for cpus in (1, 3):
+            usable_cpus(monkeypatch, cpus)
+            assert run_cli("simulate", "--config", config_path, "--pulses",
+                           "2500", "--seed", "3", "--out", str(tmp_path / "r.csv"),
+                           "--stats-out", str(tmp_path / "s.json")
+                           ) == EXIT_UNEXPECTED
+            assert capsys.readouterr().err == "error: RuntimeError: chunk failed\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @forks
+    def test_dead_worker_leaves_no_output_and_no_process(self, config_path,
+                                                         tmp_path, monkeypatch,
+                                                         capsys):
+        # Five blocks over three processes: the worker with block 1 dies in
+        # it, so the worker with block 2 and this process, with block 3,
+        # never get their offsets.
+        from passive_decoy import simulate
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(simulate, "_BLOCKS_PER_PROCESS", 1)
+        real_chunk = simulate._simulate_chunk
+
+        def dying_chunk(*args):
+            if args[3] == simulate._BLOCK_PULSES:
+                os._exit(9)
+            return real_chunk(*args)
+
+        monkeypatch.setattr(simulate, "_simulate_chunk", dying_chunk)
+        assert run_cli("simulate", "--config", config_path, "--pulses",
+                       str(5 * simulate._BLOCK_PULSES), "--seed", "3",
+                       "--out", str(tmp_path / "r.csv"),
                        "--stats-out", str(tmp_path / "s.json")) == EXIT_UNEXPECTED
-        assert "chunk failed" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: ChildProcessError: a simulate "
+                                           "worker exited with code 9\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_killed_run_leaves_no_partial_records(self, config_path, tmp_path):
         # Killed once the first chunk is on disk, long before the run ends.
@@ -394,6 +448,34 @@ class TestSimulateAndIngest:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "config.json", "r.fifo", "s.json"]
+
+    @forks
+    def test_fifo_out_of_a_run_that_would_split(self, tmp_path, monkeypatch):
+        # 17 blocks: a regular file would take them on three processes.  A
+        # FIFO takes them in order from this one, as it reads them.
+        from passive_decoy import simulate
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(simulate, "_BLOCKS_PER_PROCESS", 1)
+        monkeypatch.setattr(simulate, "_split_run", None)
+        fifo = tmp_path / "r.fifo"
+        os.mkfifo(fifo)
+        digest = hashlib.sha256()
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                for data in iter(lambda: fh.read(1 << 16), b""):
+                    digest.update(data)
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        try:
+            code = run_cli("simulate", "--config", REPO_CONFIG, "--pulses",
+                           str(2 ** 20 + 1), "--seed", "20261019", "--out",
+                           str(fifo), "--stats-out", os.devnull)
+        finally:
+            reader.join(timeout=60)
+        assert code == EXIT_OK and not reader.is_alive()
+        assert digest.hexdigest() == RECORD_DIGESTS[2 ** 20 + 1]
 
     def test_ingest_empty_file_is_parse_error(self, tmp_path, capsys):
         empty = tmp_path / "none.csv"

@@ -11,6 +11,7 @@ whole ``simulate`` and ``ingest`` processes is measured too, on Linux.
 import contextlib
 import json
 import os
+import shutil
 import sys
 import tracemalloc
 
@@ -22,9 +23,9 @@ from passive_decoy import (IngestError, PulsePairParams, ThresholdDetector,
                            write_records_csv)
 from passive_decoy.records import (CSV_COLUMNS, CSV_HEADER, TallyCounts,
                                    format_batch_csv, open_records_csv)
-from passive_decoy.simulate import _chunk_draws, _simulate_chunk
+from passive_decoy.simulate import _block_draws, _simulate_chunk
 
-from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE
+from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE, usable_cpus
 from test_bit_identity import bright_channel
 from test_cli import REPO_CONFIG
 from test_imports import run_fresh
@@ -70,7 +71,7 @@ def sample_chunk(size=CHUNK, seed=5):
     return _simulate_chunk(PulsePairParams(**REFERENCE_SOURCE),
                            ThresholdDetector(**REFERENCE_DETECTOR),
                            bright_channel(), 0, size,
-                           _chunk_draws(np.random.SeedSequence(seed), size))
+                           _block_draws(np.random.SeedSequence(seed), size, 0))
 
 
 def canonical_records(n, seed=3):
@@ -124,8 +125,10 @@ def test_simulate_sink_writes_a_chunk_in_slices(tmp_path, monkeypatch):
         peaks.append(peak["mb"])
         return TallyCounts.from_batch(batch)
 
-    # The simulate command looks the sampler up in its module when it runs.
+    # The simulate command looks the sampler up in its module when it runs,
+    # and on one CPU runs it in this process.
     monkeypatch.setattr(simulate, "monte_carlo_run", one_chunk)
+    usable_cpus(monkeypatch, 1)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({
         "source": REFERENCE_SOURCE, "alice_detector": REFERENCE_DETECTOR,
@@ -184,9 +187,10 @@ def test_ingesting_canonical_records(tmp_path):
     assert peak["mb"] <= INGEST_HEAP_MB
 
 
-def cli_peak_mb(*argv):
-    """The peak RSS, in MB, of a fresh ``passive-decoy ARGV`` process."""
-    status, max_rss = run_fresh(LAUNCHER, sys.executable, "-m",
+def cli_peak_mb(*argv, prefix=()):
+    """The peak RSS, in MB, of a fresh ``passive-decoy ARGV`` process, run
+    through the command ``prefix`` if given; reaped workers count."""
+    status, max_rss = run_fresh(LAUNCHER, *prefix, sys.executable, "-m",
                                 "passive_decoy.cli", *argv)
     assert status == 0, argv
     return max_rss / 1024  # ru_maxrss is in KiB on Linux
@@ -210,6 +214,23 @@ def test_process_peaks_do_not_grow_with_the_run(tmp_path):
     for command, bound in (("simulate", RUN_HEAP_MB), ("ingest", INGEST_HEAP_MB)):
         growth = peaks[command, 3 * 2 ** 19] - peaks[command, 1000]
         assert growth <= bound, (command, peaks)
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and len(os.sched_getaffinity(0)) > 1
+                         and shutil.which("taskset")),
+                    reason="needs Linux, two usable CPUs and taskset")
+def test_a_split_run_peaks_as_one_process_does(tmp_path):
+    # Each process holds one block and one slice of text at a time, so the
+    # peak over the simulate process and its workers stays within a run's
+    # heap bound of the one-process peak.
+    argv = ("simulate", "--config", REPO_CONFIG, "--pulses", str(3 * 2 ** 19),
+            "--seed", "7", "--out", str(tmp_path / "r.csv"),
+            "--stats-out", os.devnull)
+    one = cli_peak_mb(*argv, prefix=("taskset", "-c",
+                                     str(min(os.sched_getaffinity(0)))))
+    split = cli_peak_mb(*argv)
+    assert split <= one + RUN_HEAP_MB, (split, one)
 
 
 class TestLoneCarriageReturns:

@@ -13,8 +13,9 @@ from passive_decoy import (AxisSpec, KeyRateParams, ParameterError,
                            optimize, predicted_statistics,
                            scan_rate_vs_distance)
 from passive_decoy.optimize import rate_for_point
+from passive_decoy.statistics import _process_count
 
-from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE
+from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE, forks, usable_cpus
 from test_cli import REPO_CONFIG
 from test_simulate import make_channel
 
@@ -120,11 +121,6 @@ class TestOptimize:
         assert result.trace[0].flag == "degenerate"
 
 
-def usable_cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)),
-                        raising=False)
-
-
 def split_config(tmp_path, fiber_length_km=10.0, n_max=20):
     """A config whose 3 x 3 x 5 search has t edges, which are degenerate, and
     over 120 km points with no certified single-photon yield."""
@@ -153,12 +149,6 @@ def cli_outputs(config, tmp_path, capsys):
     return runs
 
 
-# A split level forks while numpy's BLAS threads run, which Python 3.12 and
-# later warn about.
-forks = pytest.mark.filterwarnings(
-    "ignore:This process .* is multi-threaded:DeprecationWarning")
-
-
 class TestSplitLevels:
     """A level cut across processes gives what one process gives."""
 
@@ -182,7 +172,7 @@ class TestSplitLevels:
         assert {p.flag for p in serial.trace} == flags
         assert [run[:2] for run in serial_cli] == [(cli.EXIT_OK, "")] * 2
         self.force_split(monkeypatch)
-        assert optimize_module._process_count(45) == 3
+        assert optimize_module._process_count(45, 4) == 3
         assert optimize(space) == serial
         assert cli_outputs(config, tmp_path, capsys) == serial_cli
 
@@ -238,7 +228,8 @@ class TestSplitLevels:
         serial = optimize(space)
         assert len(blocks) == 2 * 512 // 32
         usable_cpus(monkeypatch, 2)
-        assert optimize_module._process_count(512) == 2
+        assert optimize_module._process_count(
+            512, optimize_module._POINTS_PER_PROCESS) == 2
         assert optimize(space) == serial
         points = [rate_for_point(p.mu1, p.mu2, p.t, space) for p in serial.trace]
         assert [(p.rate, p.flag) for p in serial.trace] == points
@@ -262,15 +253,15 @@ class TestSplitLevels:
         per = optimize_module._POINTS_PER_PROCESS
         assert 62 < per
         usable_cpus(monkeypatch, 1000)
-        assert optimize_module._process_count(4096) == 4096 // per
-        assert optimize_module._process_count(125) == 1
-        assert optimize_module._process_count(2 * per - 1) == 1
+        assert _process_count(4096, per) == 4096 // per
+        assert _process_count(125, per) == 1
+        assert _process_count(2 * per - 1, per) == 1
         usable_cpus(monkeypatch, 2)
-        assert optimize_module._process_count(4096) == 2
+        assert _process_count(4096, per) == 2
         usable_cpus(monkeypatch, 1)
-        assert optimize_module._process_count(4096) == 1
+        assert _process_count(4096, per) == 1
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert optimize_module._process_count(4096) == 1
+        assert _process_count(4096, per) == 1
 
 
 class TestScan:

@@ -1,4 +1,6 @@
 import math
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from passive_decoy import (ChannelModel, Numerics, ObservedStatistics,
                            hom_coincidence_scan, monte_carlo_run,
                            predicted_statistics)
 from passive_decoy import simulate
+from passive_decoy.records import CSV_HEADER, format_batch_csv
 
 from conftest import channel_truth
 from test_cli import REPO_CONFIG, read_json
@@ -209,28 +212,96 @@ class TestMonteCarlo:
 
 
 class TestDrawRule:
-    """A chunk's generators from ``_chunk_draws``, each drawn a block at a
-    time, give the draws of one generator on the chunk's stream, each
-    section taken in one call: theta, the monitor's u, the 4-bit draw, the
-    wrong and the right detector's u."""
+    """Generators from ``_block_draws``, positioned at each block of a
+    chunk and drawn a block at a time, give the draws of one generator on
+    the chunk's stream, each section taken in one call: theta, the
+    monitor's u, the 4-bit draw, the wrong and the right detector's u."""
 
-    @pytest.mark.parametrize("size", [1, 7, 9, 2 ** 16 - 1, 2 ** 16 + 3,
-                                      2 ** 19, 2 ** 20])
-    def test_positioned_draws_are_one_generators_draws(self, size):
+    @staticmethod
+    def assert_blocks_draw_the_chunk(size, block):
         stream = np.random.SeedSequence(20261019, spawn_key=(3,))
         one = np.random.default_rng(stream)
         expected = [one.uniform(0.0, 2.0 * np.pi, size), one.random(size),
                     one.integers(0, 16, size, dtype=np.int8), one.random(size),
                     one.random(size)]
-        theta, monitor, bits, wrong, right = simulate._chunk_draws(stream, size)
         blocks = []
-        for lo in range(0, size, simulate._BLOCK_PULSES):
-            n = min(simulate._BLOCK_PULSES, size - lo)
+        for lo in range(0, size, block):
+            n = min(block, size - lo)
+            theta, monitor, bits, wrong, right = simulate._block_draws(stream,
+                                                                       size, lo)
             blocks.append([theta.random(n) * (2.0 * np.pi), monitor.random(n),
                            bits.integers(0, 16, n, dtype=np.int8),
                            wrong.random(n), right.random(n)])
         for want, got in zip(expected, zip(*blocks)):
             assert np.concatenate(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 7, 9, 2 ** 16 - 1, 2 ** 16 + 3,
+                                      2 ** 19, 2 ** 20])
+    def test_positioned_draws_are_one_generators_draws(self, size):
+        self.assert_blocks_draw_the_chunk(size, simulate._BLOCK_PULSES)
+
+    @pytest.mark.parametrize("size, block", [(7, 4), (9, 4), (100, 12),
+                                             (2 ** 16 + 3, 2 ** 12 + 4)])
+    def test_blocks_that_open_an_outputs_upper_half(self, size, block):
+        # Blocks of 4 mod 8 pulses: every other block's 4-bit draw starts in
+        # the upper 32 bits of a 64-bit output, whose lower half the block
+        # before it drew.
+        self.assert_blocks_draw_the_chunk(size, block)
+
+
+class Exited(Exception):
+    pass
+
+
+class TestWorker:
+    """A split run's worker, ``_work``, run in this process as the only
+    process of its ring, with ``os._exit`` raising instead."""
+
+    def work(self, tmp_path, monkeypatch, run):
+        """The worker's pickled outcome and the file it wrote."""
+        def exit_(code):
+            raise Exited(code)
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        header = (CSV_HEADER + "\n").encode("ascii")
+        path = tmp_path / "records.csv"
+        path.write_bytes(header)
+        ring, result, inherited = os.pipe(), os.pipe(), os.pipe()
+        os.write(ring[1], len(header).to_bytes(8, "little"))  # block 0's offset
+        out = os.open(path, os.O_WRONLY)
+        try:
+            with pytest.raises(Exited) as exited:
+                simulate._work(run, 0, 1, out, ring, result[1], list(inherited))
+        finally:
+            os.close(out)
+        assert exited.value.args == (0,)
+        for fd in (*ring, result[1], *inherited):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+        with open(result[0], "rb") as fh:
+            return pickle.loads(fh.read()), path.read_bytes()
+
+    def test_it_writes_its_blocks_and_pipes_back_their_tallies(
+            self, tmp_path, monkeypatch, reference_params, reference_detector):
+        run = (reference_params, reference_detector, make_channel(),
+               3 * simulate._BLOCK_PULSES + 5, 11)
+        outcome, data = self.work(tmp_path, monkeypatch, run)
+        batches = []
+        assert outcome == monte_carlo_run(*run, record_sink=batches.append)
+        assert len(batches) == 4
+        assert data.decode("ascii") == CSV_HEADER + "\n" + "".join(
+            map(format_batch_csv, batches))
+
+    def test_it_pipes_back_what_it_raised(self, tmp_path, monkeypatch,
+                                          reference_params, reference_detector):
+        def failing_chunk(*args):
+            raise RuntimeError("sampling failed")
+
+        monkeypatch.setattr(simulate, "_simulate_chunk", failing_chunk)
+        run = (reference_params, reference_detector, make_channel(), 100, 11)
+        outcome, _ = self.work(tmp_path, monkeypatch, run)
+        assert type(outcome) is RuntimeError
+        assert str(outcome) == "sampling failed"
 
 
 @pytest.mark.parametrize("call, message", [
