@@ -128,6 +128,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     from .reports import dump_json, stats_payload
     try:
         tallies = ingest_records(args.records)
+    except ChildProcessError:  # a worker's death, not the file's
+        raise
     except OSError as exc:
         raise IngestError(f"cannot read records file: {exc}") from None
     payload = stats_payload(tallies.to_observed(),

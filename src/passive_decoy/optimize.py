@@ -15,15 +15,15 @@ the bits and flag ``rate_for_point`` gives it.  A smaller level takes one
 ``rate_for_point`` call per point.  Where more than one CPU is usable, a
 level of at least twice ``_POINTS_PER_PROCESS`` points is also cut into
 contiguous parts, one per usable CPU but none smaller than
-``_POINTS_PER_PROCESS`` points: this process scores the first part, forked
-worker processes the rest, and the parts are joined in grid order.  So the
-result does not depend on the number of CPUs or on the size of a block, and
-the first failing point in grid order raises what a serial search raises.
+``_POINTS_PER_PROCESS`` points, scored by ``forkjoin.fork_join``: this
+process scores the first part, forked worker processes the rest, and the
+parts are joined in grid order.  So the result does not depend on the
+number of CPUs or on the size of a block, and the first failing point in
+grid order raises what a serial search raises.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -34,9 +34,10 @@ from .bounds import KeyRateParams, key_rate, key_rate_rows, source_rate_rows
 from .errors import DegenerateSourceError, ParameterError, excerpt
 from .channel import (ChannelModel, _channel_yields, _row_dots,
                       predicted_statistics, predicted_statistics_over_lengths)
+from .forkjoin import _process_count, fork_join
 from .statistics import (DEFAULT_N_MAX, DEFAULT_TAIL_TOL, DEFAULT_THETA_NODES,
                          PulsePairParams, ThresholdDetector, _check_counts,
-                         _check_unit_interval, _phase_averages, _process_count,
+                         _check_unit_interval, _phase_averages,
                          _truncation_error, _vacuum_sums, branch_distributions)
 
 SHRINK_FACTOR = 3.0
@@ -221,24 +222,7 @@ def _score_rows(coords: list, space: SearchSpace) -> list[tuple[float, str]]:
     return scored
 
 
-def _pool(processes: int):
-    """A pool of ``processes - 1`` forked workers, or none for one process.
-
-    Forked, not spawned: a spawned worker imports numpy and the package
-    again before it scores a point, which on a 2-vCPU host made an
-    8,192-point search slower than one process (0.69 against 0.66 s, and
-    0.52 s forked).  The executor forks every worker at its first task,
-    before it starts its own thread.
-    """
-    if processes == 1:
-        return contextlib.nullcontext()
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    return ProcessPoolExecutor(processes - 1,
-                               mp_context=multiprocessing.get_context("fork"))
-
-
-def _score(coords: list, space: SearchSpace, pool=None,
+def _score(coords: list, space: SearchSpace,
            processes: int = 1) -> list[tuple[float, str]]:
     """``rate_for_point`` of each (mu1, mu2, t) in ``coords``, in order.
 
@@ -250,29 +234,26 @@ def _score(coords: list, space: SearchSpace, pool=None,
     Once the benchmark counts spans instead (ROADMAP items 1 and 9), this
     branch goes.
     With ``processes`` above 1, ``coords`` is cut into that many contiguous
-    parts: this process scores the first while ``pool`` scores the others,
-    whose results are taken in part order, so the first failing point in
-    ``coords`` raises.
+    parts, one per rank of ``fork_join``, whose results are joined in part
+    order, so the first failing point in ``coords`` raises.
     """
     bounds = [len(coords) * k // processes for k in range(processes + 1)]
-    futures = [pool.submit(_score_rows, coords[lo:hi], space)
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    if len(coords) >= 2 * _POINTS_PER_PROCESS:
-        scored = _score_rows(coords[:bounds[1]], space)
-    else:
-        scored = [rate_for_point(m1, m2, tt, space)
-                  for m1, m2, tt in coords[:bounds[1]]]
-    for future in futures:
-        scored.extend(future.result())
-    return scored
+
+    def part(rank: int) -> list[tuple[float, str]]:
+        points = coords[bounds[rank]:bounds[rank + 1]]
+        if len(coords) >= 2 * _POINTS_PER_PROCESS:
+            return _score_rows(points, space)
+        return [rate_for_point(m1, m2, tt, space) for m1, m2, tt in points]
+
+    return [point for scored in fork_join(part, processes) for point in scored]
 
 
 def _evaluate_grid(level: int, axes: tuple[AxisSpec, AxisSpec, AxisSpec],
-                   space: SearchSpace, pool, processes: int) -> list[GridPoint]:
+                   space: SearchSpace, processes: int) -> list[GridPoint]:
     coords = list(itertools.product(*(axis.grid().tolist() for axis in axes)))
     return [GridPoint(level=level, mu1=m1, mu2=m2, t=tt, rate=rate, flag=flag)
             for (m1, m2, tt), (rate, flag)
-            in zip(coords, _score(coords, space, pool, processes))]
+            in zip(coords, _score(coords, space, processes))]
 
 
 def _best_of(points: Sequence[GridPoint],
@@ -300,22 +281,21 @@ def optimize(space: SearchSpace) -> OptimizationResult:
     # Refinement keeps each axis's point count, so every level has one size.
     processes = _process_count(space.mu1.points * space.mu2.points
                                * space.t.points, _POINTS_PER_PROCESS)
-    with _pool(processes) as pool:
-        for level in range(space.refinement_levels):
-            points = _evaluate_grid(level, axes, space, pool, processes)
-            trace.extend(points)
-            best = _best_of(points, best)
-            history.append({
-                "level": level,
-                "mu1_range": (axes[0].lo, axes[0].hi),
-                "mu2_range": (axes[1].lo, axes[1].hi),
-                "t_range": (axes[2].lo, axes[2].hi),
-                "best_rate": best.rate,
-                "best_point": (best.mu1, best.mu2, best.t),
-            })
-            axes = (axes[0].refined_around(best.mu1),
-                    axes[1].refined_around(best.mu2),
-                    axes[2].refined_around(best.t))
+    for level in range(space.refinement_levels):
+        points = _evaluate_grid(level, axes, space, processes)
+        trace.extend(points)
+        best = _best_of(points, best)
+        history.append({
+            "level": level,
+            "mu1_range": (axes[0].lo, axes[0].hi),
+            "mu2_range": (axes[1].lo, axes[1].hi),
+            "t_range": (axes[2].lo, axes[2].hi),
+            "best_rate": best.rate,
+            "best_point": (best.mu1, best.mu2, best.t),
+        })
+        axes = (axes[0].refined_around(best.mu1),
+                axes[1].refined_around(best.mu2),
+                axes[2].refined_around(best.t))
     assert best is not None
     return OptimizationResult(
         best_point=(best.mu1, best.mu2, best.t),

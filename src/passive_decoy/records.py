@@ -27,7 +27,8 @@ each line's ``bob_bit`` and end, and counts the separators of the block to
 rule out a stray one; one comparison over the block's indices and one with
 the previous block's last index check their order.  Only a block it
 rejects is read again line by line, to word the error for its first bad
-record.
+record.  ``ingest_records`` cuts a large regular file into byte ranges at
+line ends, parsed and counted by one process each.
 
 Aggregation into per-branch gains and error rates lives here: the simulator
 and ``ingest_records`` both return ``TallyCounts``, so in-memory runs and
@@ -47,6 +48,7 @@ import numpy as np
 
 from .bounds import ObservedStatistics
 from .errors import IngestError, excerpt
+from .forkjoin import _process_count, fork_join
 from .reports import replace_on_success
 
 CSV_COLUMNS = ("pulse_index", "alice_click", "alice_basis", "alice_bit",
@@ -56,6 +58,12 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 # Bytes per read of a records file; each read ends a parse block at its
 # last line end.  A read of 256 KiB parses as fast as one of 1 MiB.
 _READ_BYTES = 1 << 18
+# Fewest bytes of a records file a process parses when ingest is split.
+# Timed in one process on a 2-vCPU host (medians of 21-41 alternated runs),
+# ingest_records split in two took 101-151% of its one-process time at 2.1
+# to 3.8 MiB of records, 75-85% at 4.4 MiB and 65% at 27 MiB (3 * 2**19
+# records), so a file of 4 MiB is split.
+_BYTES_PER_PROCESS = 1 << 21
 
 _FLAG_COLUMNS = CSV_COLUMNS[1:6]
 # Records the writer formats at a time: bounds the byte matrix and its text,
@@ -304,17 +312,23 @@ def _parse_block(block: np.ndarray) -> RecordBatch | None:
                        *(column.copy() for column in flags.view(np.int8)), bob)
 
 
-def _file_blocks(fh) -> Iterator[bytes]:
-    """Blocks of whole lines of a binary file, after its header line.
+def _file_blocks(fh, start: int = 0, stop: int | None = None) -> Iterator[bytes]:
+    """Blocks of whole lines of bytes ``start`` to ``stop`` of a binary
+    file, to its end where ``stop`` is None, after its header line where
+    ``start`` is 0.
 
     Each read of ``_READ_BYTES`` has its ``\\r\\n`` and lone ``\\r`` line
     ends turned into ``\\n``, as in text mode (no UTF-8 sequence holds
     either), and ends a block at its last line end; the rest is carried into
     the next block.  The last block may lack the final newline.
     """
-    parts, held, header = [], b"", None
+    if start:
+        fh.seek(start)
+    parts, held, header = [], b"", b"" if start else None
     while True:
-        data = fh.read(_READ_BYTES)
+        data = fh.read(_READ_BYTES if stop is None
+                       else min(_READ_BYTES, stop - start))
+        start += len(data)
         # A final "\r" waits for the next read, which may start with its "\n".
         chunk, held = held + data, b"\r" if data.endswith(b"\r") else b""
         if b"\r" in chunk:
@@ -338,9 +352,37 @@ def _file_blocks(fh) -> Iterator[bytes]:
             return
 
 
+def _checked_batches(fh, start: int = 0, stop: int | None = None):
+    """The bulk-parsed batches of ``_file_blocks(fh, start, stop)``, in
+    order, up to the first block that the bulk parse rejects or whose
+    indices do not increase from the block before it.
+
+    Returns that block, or None, with the count of the records before it and
+    the index of the last of them, or -1: what ``_bad_record`` takes.
+    """
+    record_no, previous = 0, -1
+    for data in _file_blocks(fh, start, stop):
+        batch = _parse_block(np.frombuffer(data, dtype=np.uint8))
+        if (batch is None or batch.pulse_index[0] <= previous
+                or np.any(batch.pulse_index[1:] <= batch.pulse_index[:-1])):
+            return data, record_no, previous
+        record_no += len(batch)
+        previous = int(batch.pulse_index[-1])
+        yield batch
+    return None, record_no, previous
+
+
+def _order_error(record_no: int, previous: int, index: int) -> IngestError:
+    """The error for record ``record_no``, whose index is not greater than
+    the record's before it."""
+    return IngestError(f"record {record_no}: field 'pulse_index' must be "
+                       f"greater than the previous record's {previous} "
+                       f"(got {index})")
+
+
 def _bad_record(data: bytes, record_no: int, previous: int) -> IngestError:
     """The error for the first record of ``data``, a block that the bulk
-    parse rejected, that is outside the record grammar.
+    parser rejected, that is outside the record grammar.
 
     ``record_no`` counts the records before the block, and ``previous`` is
     the index of the last of them, or -1.  The checks are the bulk parser's,
@@ -349,14 +391,12 @@ def _bad_record(data: bytes, record_no: int, previous: int) -> IngestError:
     for record_no, line in enumerate(data.removesuffix(b"\n").split(b"\n"),
                                      record_no + 1):
         problem = _record_problem(line)
-        if problem is None:
-            index = int(line.partition(b",")[0])
-            if index <= previous:
-                problem = (f"field 'pulse_index' must be greater than the "
-                           f"previous record's {previous} (got {index})")
-            previous = index
         if problem:
             return IngestError(f"record {record_no}: {problem}")
+        index = int(line.partition(b",")[0])
+        if index <= previous:
+            return _order_error(record_no, previous, index)
+        previous = index
     raise AssertionError("the bulk parser rejected a block of canonical records")
 
 
@@ -401,18 +441,49 @@ def iter_batches_from_csv(path) -> Iterator[RecordBatch]:
         IngestError: on a bad header, on no records, or on the first record
             outside the grammar; messages carry its 1-based record index.
     """
-    record_no, previous = 0, -1
     with open(path, "rb") as fh:
-        for data in _file_blocks(fh):
-            batch = _parse_block(np.frombuffer(data, dtype=np.uint8))
-            if (batch is None or batch.pulse_index[0] <= previous
-                    or np.any(batch.pulse_index[1:] <= batch.pulse_index[:-1])):
-                raise _bad_record(data, record_no, previous)
-            record_no += len(batch)
-            previous = int(batch.pulse_index[-1])
-            yield batch
+        rejected, record_no, previous = yield from _checked_batches(fh)
+    if rejected is not None:
+        raise _bad_record(rejected, record_no, previous)
     if record_no == 0:
         raise IngestError("no records in file")
+
+
+def _cuts(path) -> list:
+    """0, the offsets at which ``ingest_records`` cuts the file ``path``
+    into byte ranges, one per process, and None for its end.  A cut falls
+    just after the first ``\\n`` in a read from an even share of the file
+    on, where that is after the cut before it and before the end.  A file
+    that is not regular, such as a FIFO, is one range."""
+    cuts = [0]
+    if os.path.isfile(path):
+        size = os.path.getsize(path)
+        processes = _process_count(size, _BYTES_PER_PROCESS)
+        with open(path, "rb") as fh:
+            for share in range(1, processes):
+                fh.seek(size * share // processes)
+                end = fh.read(_READ_BYTES).find(b"\n")
+                cut = size * share // processes + end + 1
+                if end >= 0 and cuts[-1] < cut < size:
+                    cuts.append(cut)
+    return cuts + [None]
+
+
+def _tally_range(path, start: int, stop: int | None) -> tuple:
+    """``(tallies, first index, rejected block, records, last index)`` of
+    the records in bytes ``start`` to ``stop`` of the file ``path``: the
+    tallies of ``_checked_batches``' batches and the index of their first
+    record, or -1, then what ``_checked_batches`` returns."""
+    tallies, first = TallyCounts(), -1
+    with open(path, "rb") as fh:
+        batches = _checked_batches(fh, start, stop)
+        try:
+            while True:
+                batch = next(batches)
+                first = int(batch.pulse_index[0]) if first < 0 else first
+                tallies.merge(TallyCounts.from_batch(batch))
+        except StopIteration as end:
+            return (tallies, first, *end.value)
 
 
 def ingest_records(path) -> TallyCounts:
@@ -420,8 +491,28 @@ def ingest_records(path) -> TallyCounts:
 
     ``to_observed()`` on the result gives the observed statistics and
     ``provenance(path)`` the counts behind them.
+
+    A regular file of at least ``2 * _BYTES_PER_PROCESS`` bytes is cut by
+    ``_cuts`` into byte ranges at line ends, one per usable CPU, which the
+    ranks of ``fork_join`` count.  Their tallies are joined in file order,
+    with the indices checked across each cut, and the first bad record in
+    file order is numbered from the records before it.  Any other file is
+    read by ``iter_batches_from_csv`` in this process.  Either way the
+    tallies, or the error, are the same.
     """
+    cuts = _cuts(path)
     tallies = TallyCounts()
-    for batch in iter_batches_from_csv(path):
-        tallies.merge(TallyCounts.from_batch(batch))
+    if len(cuts) == 2:
+        for batch in iter_batches_from_csv(path):
+            tallies.merge(TallyCounts.from_batch(batch))
+        return tallies
+    record_no, previous = 0, -1
+    for part, first, rejected, records, last in fork_join(
+            lambda rank: _tally_range(path, *cuts[rank:rank + 2]), len(cuts) - 1):
+        if records and first <= previous:
+            raise _order_error(record_no + 1, previous, first)
+        record_no, previous = record_no + records, max(previous, last)
+        if rejected is not None:
+            raise _bad_record(rejected, record_no, previous)
+        tallies.merge(part)
     return tallies

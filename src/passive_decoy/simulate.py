@@ -16,9 +16,9 @@ sunk ``_BLOCK_PULSES`` (65,536) pulses at a time, in arrays made for each
 block, four of the record writer's slices, and each block positions its own
 generators on its chunk's substream.  So neither the block size nor which
 process samples a block reaches any output: ``simulate_to_csv`` deals the
-blocks of a run written to a regular file round-robin to forked worker
-processes, one per usable CPU, and the file holds the bytes that one
-process writes.
+blocks of a run written to a regular file round-robin to this process and
+forked worker processes, one per usable CPU, and the file holds the bytes
+that one process writes.
 """
 
 from __future__ import annotations
@@ -26,20 +26,18 @@ from __future__ import annotations
 import contextlib
 import itertools
 import os
-import pickle
-import signal
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NoReturn, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .channel import ChannelModel, predicted_statistics  # noqa: F401 (re-exported)
 from .errors import ParameterError, excerpt
+from .forkjoin import _process_count, fork_join
 from .records import (_FORMAT_ROWS, CSV_HEADER, RecordBatch, TallyCounts,
                       _pwrite_batch, _text_bytes, open_records_csv)
 from .statistics import (DEFAULT_THETA_NODES, PulsePairParams,
-                         ThresholdDetector, _check_integer, _process_count,
-                         theta_nodes)
+                         ThresholdDetector, _check_integer, theta_nodes)
 
 # Pulses per Monte Carlo chunk.  Fixed (not configurable): the chunk defines
 # the stream of random draws, and therefore every output.
@@ -224,11 +222,6 @@ def simulate_to_csv(params: PulsePairParams, det: ThresholdDetector,
                                record_sink=write)
 
 
-class _RunStopped(Exception):
-    """The process that samples the previous block stopped before passing
-    on its end."""
-
-
 def _write_blocks(run: tuple, rank: int, processes: int, out: int,
                   ring: tuple[int, int]) -> TallyCounts:
     """Sample, count and write blocks ``rank``, ``rank + processes``, ...
@@ -237,7 +230,9 @@ def _write_blocks(run: tuple, rank: int, processes: int, out: int,
 
     Each block, once sampled and counted, takes the offset of its text, the
     previous block's end, from pipe end ``ring[0]``, and passes its own end
-    on to ``ring[1]`` before it formats and writes its text.
+    on to ``ring[1]`` before it formats and writes its text.  Once the
+    process before it has stopped, so that no offset comes, it stops too:
+    ``fork_join`` raises what stopped the first one, not these tallies.
     """
     receive, send = ring
     tallies = TallyCounts()
@@ -245,7 +240,7 @@ def _write_blocks(run: tuple, rank: int, processes: int, out: int,
         tallies.merge(TallyCounts.from_batch(batch))
         offset = os.read(receive, 8)
         if len(offset) < 8:
-            raise _RunStopped
+            break
         offset = int.from_bytes(offset, "little")
         # After the run's last block, or once the next process has stopped,
         # no one reads the end; a stopped process reports why itself.
@@ -256,53 +251,35 @@ def _write_blocks(run: tuple, rank: int, processes: int, out: int,
     return tallies
 
 
-def _work(run: tuple, rank: int, processes: int, out: int,
-          ring: tuple[int, int], result: int, inherited: list[int]) -> NoReturn:
-    """A forked worker's whole life: it closes the parent's file
-    descriptors in ``inherited``, writes its share of the run, and pickles
-    its tallies, or what it raised, to pipe end ``result``."""
-    code = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            outcome = _write_blocks(run, rank, processes, out, ring)
-        except BaseException as exc:  # raised again by the parent
-            outcome = exc
-        # So that the processes waiting on this one see it stop.
-        os.close(ring[0])
-        os.close(ring[1])
-        with open(result, "wb") as fh:
-            pickle.dump(outcome, fh)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def _split_run(params: PulsePairParams, det: ThresholdDetector,
                ch: ChannelModel, n_pulses: int, seed: int, path: str,
                processes: int) -> TallyCounts:
     """Sample, count and write a run's records to the regular file ``path``,
-    its blocks dealt round-robin to this process and ``processes - 1``
-    forked workers.
+    its blocks dealt round-robin to the ranks of ``fork_join``: this
+    process and ``processes - 1`` forked workers.
 
     Block k's process takes block k - 1's end from a ring of pipes once
     block k is counted, and passes block k's end on before it formats and
     writes block k's text there.  So the file holds the bytes of the
     one-process path, no record text crosses a process boundary, and each
-    process holds one block and one slice of text at a time.  Each worker
-    pipes back its tallies, or the exception it raised, which is raised
-    here; a worker that dies raises ``ChildProcessError``.  Every worker is
-    reaped, and killed first unless it finished, before this returns.
+    process holds one block and one slice of text at a time.  Each process
+    keeps only its own ends of the ring, so that a process that stops is
+    seen to stop by the next.
     """
     run = (params, det, ch, n_pulses, seed)
     held = []  # file descriptors this process has still to close
-    workers = []  # (pid, read end of its result pipe), not yet reaped
 
     def close(*fds):
         for fd in fds:
             held.remove(fd)
             os.close(fd)
+
+    def share(rank: int) -> TallyCounts:
+        close(*[fd for fd in held if fd not in (*ring[rank], out)])
+        try:
+            return _write_blocks(run, rank, processes, out, ring[rank])
+        finally:
+            close(*ring[rank])
 
     try:
         pipes = []
@@ -317,43 +294,11 @@ def _split_run(params: PulsePairParams, det: ThresholdDetector,
         header = (CSV_HEADER + "\n").encode("ascii")
         os.pwrite(out, header, 0)
         os.write(ring[-1][1], len(header).to_bytes(8, "little"))
-        for rank in range(1, processes):
-            read, write = os.pipe()
-            held += read, write
-            pid = os.fork()
-            if pid == 0:
-                _work(run, rank, processes, out, ring[rank], write,
-                      [fd for fd in held if fd not in (*ring[rank], out, write)])
-            workers.append((pid, read))
-            close(write)
-        close(*(fd for pair in ring[1:] for fd in pair))
-        try:
-            tallies = _write_blocks(run, 0, processes, out, ring[0])
-        except _RunStopped:  # a worker stopped: its outcome says why
-            tallies = TallyCounts()
-        finally:
-            close(*ring[0])
-        while workers:
-            pid, read = workers[0]
-            held.remove(read)
-            with open(read, "rb") as fh:
-                data = fh.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            try:
-                outcome = pickle.loads(data)  # written by the worker above
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"a simulate worker exited with code "
-                                        f"{code}") from None
-            if isinstance(outcome, TallyCounts):
-                tallies.merge(outcome)
-            elif not isinstance(outcome, _RunStopped):
-                raise outcome
+        tallies = TallyCounts()
+        for part in fork_join(share, processes):
+            tallies.merge(part)
         return tallies
     finally:
-        for pid, _ in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
         for fd in held:
             os.close(fd)
 

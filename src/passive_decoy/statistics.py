@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,16 +138,6 @@ class BranchDistributions:
     p_noclick: np.ndarray
     p_total: np.ndarray
     tail_mass: float
-
-
-def _process_count(units: int, per_process: int) -> int:
-    """Processes to share ``units`` units of work: one per usable CPU, but
-    none with fewer than ``per_process`` units, and at least this one."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = 1
-    return max(1, min(cpus, units // per_process))
 
 
 def _check_integer(name: str, value: int) -> None:

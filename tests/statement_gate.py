@@ -33,10 +33,9 @@ ALLOWED = {
     # The console script, which CI runs in a child process.
     ("cli.py", "entry_point", "sys.exit(main())"),
     ("cli.py", "<module>", "entry_point()"),
-    # A split simulate run's forked worker starting; tests/test_simulate.py
-    # runs the worker, _work, in this process.
-    ("simulate.py", "_split_run",
-     "_work(run, rank, processes, out, ring[rank], write,"),
+    # A forked worker starting; tests/test_simulate.py runs the worker's
+    # life, _work, in this process.
+    ("forkjoin.py", "fork_join", "_work(work, rank, write)"),
     # Invariants that no input can break.
     ("config.py", "_from_json",
      'raise TypeError(f"no JSON form for {path} of type {tp!r}")'),

@@ -344,8 +344,8 @@ class TestSimulateAndIngest:
                        str(5 * simulate._BLOCK_PULSES), "--seed", "3",
                        "--out", str(tmp_path / "r.csv"),
                        "--stats-out", str(tmp_path / "s.json")) == EXIT_UNEXPECTED
-        assert capsys.readouterr().err == ("error: ChildProcessError: a simulate "
-                                           "worker exited with code 9\n")
+        assert capsys.readouterr().err == ("error: ChildProcessError: a worker "
+                                           "process exited with code 9\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

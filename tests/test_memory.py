@@ -178,7 +178,9 @@ def test_write_records_csv_writes_a_chunk_in_slices(tmp_path):
     assert out.read_text() == CSV_HEADER + "\n" + format_batch_csv(batch)
 
 
-def test_ingesting_canonical_records(tmp_path):
+def test_ingesting_canonical_records(tmp_path, monkeypatch):
+    # In one process, as on one CPU: a split's workers hold the rest.
+    usable_cpus(monkeypatch, 1)
     path = tmp_path / "records.csv"
     path.write_bytes(canonical_records(300_000))
     with heap_peak() as peak:
@@ -231,6 +233,25 @@ def test_a_split_run_peaks_as_one_process_does(tmp_path):
                                      str(min(os.sched_getaffinity(0)))))
     split = cli_peak_mb(*argv)
     assert split <= one + RUN_HEAP_MB, (split, one)
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and len(os.sched_getaffinity(0)) > 1
+                         and shutil.which("taskset")),
+                    reason="needs Linux, two usable CPUs and taskset")
+def test_a_split_ingest_peaks_as_one_process_does(tmp_path):
+    # Each process parses one block of its byte range at a time, so the
+    # peak over the ingest process and its reaped workers stays within an
+    # ingest's heap bound of the one-process peak.
+    path = str(tmp_path / "r.csv")
+    cli_peak_mb("simulate", "--config", REPO_CONFIG, "--pulses", str(3 * 2 ** 19),
+                "--seed", "7", "--out", path, "--stats-out", os.devnull)
+    assert records._cuts(path)[1:] != [None]
+    argv = ("ingest", path, "--out", os.devnull)
+    one = cli_peak_mb(*argv, prefix=("taskset", "-c",
+                                     str(min(os.sched_getaffinity(0)))))
+    split = cli_peak_mb(*argv)
+    assert split <= one + INGEST_HEAP_MB, (split, one)
 
 
 class TestLoneCarriageReturns:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import importlib
 import json
 import os
@@ -13,7 +12,7 @@ from passive_decoy import (AxisSpec, KeyRateParams, ParameterError,
                            optimize, predicted_statistics,
                            scan_rate_vs_distance)
 from passive_decoy.optimize import rate_for_point
-from passive_decoy.statistics import _process_count
+from passive_decoy.forkjoin import _process_count
 
 from conftest import REFERENCE_DETECTOR, REFERENCE_SOURCE, forks, usable_cpus
 from test_cli import REPO_CONFIG
@@ -191,11 +190,22 @@ class TestSplitLevels:
         assert serial_cli == [(cli.EXIT_VALIDATION, f"error: {serial.value}\n",
                                None)] * 2
         self.force_split(monkeypatch)
+        # This process scores its 15 points in full, so the error is a
+        # worker's.
+        scored, score_block = [], optimize_module._score_block
+
+        def counted_block(*args):
+            scored.extend(score_block(*args))
+            return scored[-len(args[0]):]
+        monkeypatch.setattr(optimize_module, "_score_block", counted_block)
         with pytest.raises(TruncationError) as split:
             optimize(space)
         assert str(split.value) == str(serial.value)
-        assert type(split.value.__cause__).__name__ == "_RemoteTraceback"
+        assert len(scored) == 15
         assert cli_outputs(config, tmp_path, capsys) == serial_cli
+        assert [p.name for p in tmp_path.iterdir()] == [Path(config).name]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @forks
     def test_dead_worker_is_an_unexpected_error(self, monkeypatch, tmp_path,
@@ -208,10 +218,14 @@ class TestSplitLevels:
             return score_block(*args)
         self.force_split(monkeypatch)
         monkeypatch.setattr(optimize_module, "_score_block", dies_in_a_worker)
-        assert cli.main(["optimize", "--config", split_config(tmp_path),
+        config = split_config(tmp_path)
+        assert cli.main(["optimize", "--config", config,
                          "--out", str(tmp_path / "opt.csv")]) == cli.EXIT_UNEXPECTED
-        assert capsys.readouterr().err.startswith("error: BrokenProcessPool: ")
-        assert not (tmp_path / "opt.csv").exists()
+        assert capsys.readouterr().err == ("error: ChildProcessError: a worker "
+                                           "process exited with code 9\n")
+        assert [p.name for p in tmp_path.iterdir()] == [Path(config).name]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @forks
     def test_rows_search_finds_a_positive_argmax(self, monkeypatch, tmp_path):
@@ -240,10 +254,10 @@ class TestSplitLevels:
         assert serial.best_point == (best.mu1, best.mu2, best.t)
 
     def test_reference_search_stays_in_process(self, monkeypatch, tmp_path):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was built")
+        def no_fork():
+            raise AssertionError("a worker was forked")
         usable_cpus(monkeypatch, 1000)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         out = tmp_path / "opt.csv"
         assert cli.main(["optimize", "--config", REPO_CONFIG,
                          "--out", str(out)]) == cli.EXIT_OK

@@ -1,5 +1,7 @@
 import contextlib
 import io
+import json
+import os
 import re
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from passive_decoy.records import (CSV_COLUMNS, CSV_HEADER, RecordBatch,
                                    TallyCounts, format_batch_csv,
                                    iter_batches_from_csv)
 from passive_decoy.reports import dump_json, stats_payload
+from conftest import forks, usable_cpus
 from test_simulate import make_channel
 
 INT64 = np.iinfo(np.int64)
@@ -218,7 +221,8 @@ class TestBulkIndexParse:
             ingest_records(path)
 
 
-@pytest.mark.parametrize("body,problem", [
+# Lines outside the grammar whose bulk parse fails, and the error of each.
+MISSHAPEN_LINES = pytest.mark.parametrize("body,problem", [
     (b"1\n", "expected 7 fields, got 1"),
     (b",\n", "expected 7 fields, got 2"),
     (b"0,0,0,0,0,\n", "expected 7 fields, got 6"),
@@ -235,6 +239,9 @@ class TestBulkIndexParse:
 ], ids=["digit", "comma", "one_byte_short", "space_bob_bit", "comma_in_index",
         "comma_moved_between_lines", "first_line_shorter_than_a_tail",
         "commas_only"])
+
+
+@MISSHAPEN_LINES
 def test_misshapen_line_is_a_record_error(body, problem, tmp_path):
     assert records._parse_block(np.frombuffer(body, dtype=np.uint8)) is None
     path, out = tmp_path / "records.csv", tmp_path / "stats.json"
@@ -677,3 +684,285 @@ class TestTallies:
     def test_no_sifted_pulses_rejected(self):
         with pytest.raises(IngestError, match="no sifted"):
             TallyCounts(pulses=5).to_observed()
+
+
+# Ingest split over the processes a file allows, whatever its size.
+
+
+@pytest.fixture()
+def split(monkeypatch):
+    """Three usable CPUs and a floor of one byte a process, so that a file
+    splits wherever it holds a line end; the list this gives holds the
+    process count of each split ingest."""
+    usable_cpus(monkeypatch, 3)
+    monkeypatch.setattr(records, "_BYTES_PER_PROCESS", 1)
+    counts, fork_join = [], records.fork_join
+    monkeypatch.setattr(records, "fork_join", lambda work, processes: (
+        counts.append(processes) or fork_join(work, processes)))
+    return counts
+
+
+@forks
+class TestIngestValidationSplit(TestIngestValidation):
+    """The cases above, with ingest split."""
+
+    @pytest.fixture(autouse=True)
+    def _split(self, split):
+        pass
+
+
+@forks
+class TestIndexOrderSplit(TestIndexOrder):
+    @pytest.fixture(autouse=True)
+    def _split(self, split):
+        pass
+
+
+@forks
+class TestNotUtf8Split(TestNotUtf8):
+    @pytest.fixture(autouse=True)
+    def _split(self, split):
+        pass
+
+
+@forks
+@MISSHAPEN_LINES
+def test_misshapen_line_under_a_split(body, problem, tmp_path, split):
+    test_misshapen_line_is_a_record_error(body, problem, tmp_path)
+    assert split == [2]  # the header, then the record
+
+
+@forks
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_blank_last_line_under_a_split(ending, tmp_path, split):
+    test_blank_last_line_is_a_record_error(ending, tmp_path)
+    assert split == ([] if ending == b"\r" else [2])
+
+
+def cli_ingest(path):
+    """(exit code, stderr, output bytes or None) of ``ingest`` on ``path``,
+    whose output file is then gone."""
+    out, err = Path(path).with_suffix(".json"), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(["ingest", str(path), "--out", str(out)])
+    data = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, err.getvalue(), data
+
+
+def flag_2(line):
+    """``line`` with its first flag 2, which the grammar rejects."""
+    comma = line.index(b",")
+    return line[:comma + 1] + b"2" + line[comma + 2:]
+
+
+@forks
+class TestSplitBoundaries:
+    """Files split in two at a chosen record, by edits that keep every
+    line's length: each gives the exit code and error line, or the output,
+    of one process."""
+
+    def split_file(self, tmp_path, monkeypatch, edit=None, ending=b"\n",
+                   last_end=True, n=40):
+        """The outcome of ``ingest`` on a file of ``n`` records in lines
+        ending in ``ending``, split in two after ``edit(lines, k)`` changed
+        some lines, where line ``k`` (0-based) opens the second part."""
+        batch = random_batch(np.random.default_rng(n), np.arange(100, 100 + n))
+        lines = [line + ending for line in
+                 reference_format(batch).encode().split(b"\n")[:-1]]
+        head = CSV_HEADER.encode() + ending
+        data = head + b"".join(lines)
+        if not last_end:
+            data = data.removesuffix(ending)
+        # The first line end at or after the middle ends the first part.
+        cut = data.index(b"\n", len(data) // 2) + 1
+        k = data[len(head):cut].count(ending)
+        if edit is not None:
+            edit(lines, k)
+        path = tmp_path / "records.csv"
+        path.write_bytes(head + b"".join(lines)[:len(data) - len(head)])
+        usable_cpus(monkeypatch, 2)
+        monkeypatch.setattr(records, "_BYTES_PER_PROCESS", 1)
+        assert records._cuts(path) == [0, cut, None]
+        split = cli_ingest(path)
+        usable_cpus(monkeypatch, 1)
+        assert split == cli_ingest(path)
+        return split, k
+
+    def test_a_malformed_first_record_in_part_2(self, tmp_path, monkeypatch):
+        def edit(lines, k):
+            lines[k] = flag_2(lines[k])
+        (code, err, _), k = self.split_file(tmp_path, monkeypatch, edit)
+        assert (code, err) == (cli.EXIT_PARSE, f"error: record {k + 1}: field "
+                               "'alice_click' must be 0 or 1 (got '2')\n")
+
+    @pytest.mark.parametrize("back", [1, 2])
+    def test_part_2_opens_at_or_below_part_1s_last(self, back, tmp_path,
+                                                     monkeypatch):
+        def edit(lines, k):
+            index = lines[k - back].partition(b",")[0]
+            lines[k] = index + b"," + lines[k].partition(b",")[2]
+        (code, err, _), k = self.split_file(tmp_path, monkeypatch, edit)
+        assert (code, err) == (
+            cli.EXIT_PARSE, f"error: record {k + 1}: field 'pulse_index' must "
+            f"be greater than the previous record's {99 + k} (got {100 + k - back})\n")
+
+    def test_bad_records_in_both_parts_name_the_first(self, tmp_path,
+                                                        monkeypatch):
+        def edit(lines, k):
+            lines[k - 3] = flag_2(lines[k - 3])
+            lines[k + 2] = lines[k + 2].replace(b",", b",,", 1)[:-2] + lines[k + 2][-1:]
+        (code, err, _), k = self.split_file(tmp_path, monkeypatch, edit)
+        assert (code, err) == (cli.EXIT_PARSE, f"error: record {k - 2}: field "
+                               "'alice_click' must be 0 or 1 (got '2')\n")
+
+    @pytest.mark.parametrize("n", [46, 79, 76],
+                             ids=["middle_at_cr", "middle_at_lf", "middle_after_lf"])
+    def test_crlf_cut_just_after_a_line_end(self, n, tmp_path, monkeypatch):
+        # At these sizes the middle byte of the file is a line end's "\r",
+        # its "\n", or the first byte after it.
+        (code, err, out), k = self.split_file(tmp_path, monkeypatch,
+                                              ending=b"\r\n", n=n)
+        data = (tmp_path / "records.csv").read_bytes()
+        assert data[len(data) // 2 - 1:][:2] == {46: b"0\r", 79: b"\r\n",
+                                                  76: b"\n1"}[n]
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["provenance"]["records"] == n
+
+    def test_crlf_bad_record_just_after_the_cut(self, tmp_path, monkeypatch):
+        def edit(lines, k):
+            lines[k] = flag_2(lines[k])
+        (code, err, _), k = self.split_file(tmp_path, monkeypatch, edit,
+                                            ending=b"\r\n")
+        assert err == f"error: record {k + 1}: field 'alice_click' must be 0 or 1 (got '2')\n"
+
+    def test_no_final_line_end(self, tmp_path, monkeypatch):
+        def edit(lines, k):
+            lines[-1] = flag_2(lines[-1])
+        (code, err, _), _ = self.split_file(tmp_path, monkeypatch, edit,
+                                            last_end=False)
+        assert (code, err) == (cli.EXIT_PARSE, "error: record 40: field "
+                               "'alice_click' must be 0 or 1 (got '2')\n")
+
+    def test_lone_carriage_returns_leave_no_cut(self, tmp_path, monkeypatch):
+        batch = random_batch(np.random.default_rng(3), np.arange(40))
+        path = tmp_path / "records.csv"
+        path.write_bytes((CSV_HEADER + "\n" + reference_format(batch))
+                         .encode().replace(b"\n", b"\r"))
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(records, "_BYTES_PER_PROCESS", 1)
+        assert records._cuts(path) == [0, None]
+        code, err, out = cli_ingest(path)
+        assert (code, err) == (cli.EXIT_OK, "")
+        usable_cpus(monkeypatch, 1)
+        assert cli_ingest(path) == (code, err, out)
+
+    def test_header_only(self, tmp_path, monkeypatch):
+        path = tmp_path / "records.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"\n")
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(records, "_BYTES_PER_PROCESS", 1)
+        assert records._cuts(path) == [0, None]
+        assert cli_ingest(path) == (cli.EXIT_PARSE, "error: no records in file\n",
+                                    None)
+
+
+@forks
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(data=mutated_csv(), cpus=st.integers(2, 4), read=st.integers(1, 40))
+def test_a_split_ingest_gives_the_one_process_outcome(data, cpus, read,
+                                                      tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "split_records.csv"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(records, "_READ_BYTES", read)
+        usable_cpus(mp, 1)
+        whole = cli_ingest(path)
+        usable_cpus(mp, cpus)
+        mp.setattr(records, "_BYTES_PER_PROCESS", 1)
+        assert cli_ingest(path) == whole
+
+
+@forks
+class TestSplitFailures:
+    """A worker of a split ingest that raises, or that dies: one error line,
+    exit 1, no output file and no process left."""
+
+    @pytest.fixture()
+    def path(self, tmp_path, monkeypatch, split):
+        batch = random_batch(np.random.default_rng(1), np.arange(3000))
+        path = tmp_path / "records.csv"
+        path.write_text(CSV_HEADER + "\n" + reference_format(batch))
+        return path
+
+    def fail_in_workers(self, monkeypatch, fail):
+        parent, tally_range = os.getpid(), records._tally_range
+
+        def failing(*args):
+            if os.getpid() != parent:
+                fail()
+            return tally_range(*args)
+        monkeypatch.setattr(records, "_tally_range", failing)
+
+    def assert_fails_cleanly(self, path, split, err):
+        assert cli_ingest(path) == (cli.EXIT_UNEXPECTED, err, None)
+        assert split == [3]
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_raising_worker_gives_its_error(self, path, monkeypatch, split):
+        def fail():
+            raise RuntimeError("range failed")
+        self.fail_in_workers(monkeypatch, fail)
+        self.assert_fails_cleanly(path, split, "error: RuntimeError: range failed\n")
+
+    def test_a_dead_worker_is_an_unexpected_error(self, path, monkeypatch, split):
+        self.fail_in_workers(monkeypatch, lambda: os._exit(9))
+        self.assert_fails_cleanly(path, split, "error: ChildProcessError: a worker "
+                                  "process exited with code 9\n")
+
+
+class TestRangeWorker:
+    """A split ingest's worker body, ``_tally_range``, run in this process
+    on each range of a file cut in three."""
+
+    def ranges(self, tmp_path, monkeypatch, edit=lambda lines: None):
+        batch = random_batch(np.random.default_rng(2), np.arange(5, 3005))
+        lines = reference_format(batch).encode().splitlines(keepends=True)
+        edit(lines)
+        path = tmp_path / "records.csv"
+        path.write_bytes(CSV_HEADER.encode() + b"\n" + b"".join(lines))
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(records, "_BYTES_PER_PROCESS", 1)
+        cuts = records._cuts(path)
+        assert len(cuts) == 4
+        return batch, [records._tally_range(path, *cuts[k:k + 2]) for k in range(3)]
+
+    def test_the_ranges_add_up_to_the_file(self, tmp_path, monkeypatch):
+        batch, parts = self.ranges(tmp_path, monkeypatch)
+        tallies, index = TallyCounts(), 5
+        for part, first, rejected, count, last in parts:
+            assert rejected is None and count == part.pulses > 0
+            assert (first, last) == (index, index + count - 1)
+            tallies.merge(part)
+            index += count
+        assert index == 3005
+        assert tallies == TallyCounts.from_batch(batch)
+
+    def test_a_rejected_block_is_numbered_within_its_range(self, tmp_path,
+                                                          monkeypatch):
+        # Reads of 2,000 bytes: the third range's bad record 2,501 is not in
+        # its first block.
+        def edit(lines):
+            lines[2500] = flag_2(lines[2500])
+        monkeypatch.setattr(records, "_READ_BYTES", 2000)
+        _, parts = self.ranges(tmp_path, monkeypatch, edit)
+        before = parts[0][3] + parts[1][3]
+        part, first, rejected, count, last = parts[2]
+        assert 0 < count < 2500 - before and part.pulses == count
+        assert (first, last) == (5 + before, 4 + before + count)
+        assert rejected.startswith(b"%d," % (last + 1))
+        error = records._bad_record(rejected, before + count, last)
+        assert str(error) == "record 2501: field 'alice_click' must be 0 or 1 (got '2')"

@@ -10,7 +10,7 @@ from passive_decoy import (ChannelModel, Numerics, ObservedStatistics,
                            branch_distributions, fit_channel_to_observed,
                            hom_coincidence_scan, monte_carlo_run,
                            predicted_statistics)
-from passive_decoy import simulate
+from passive_decoy import forkjoin, simulate
 from passive_decoy.records import CSV_HEADER, format_batch_csv
 
 from conftest import channel_truth
@@ -254,11 +254,12 @@ class Exited(Exception):
 
 
 class TestWorker:
-    """A split run's worker, ``_work``, run in this process as the only
-    process of its ring, with ``os._exit`` raising instead."""
+    """A forked worker's life, ``forkjoin._work``, run in this process on the
+    only rank of a split run's ring, with ``os._exit`` raising instead."""
 
     def work(self, tmp_path, monkeypatch, run):
-        """The worker's pickled outcome and the file it wrote."""
+        """The worker's exit code, its pickled outcome and the file it
+        wrote."""
         def exit_(code):
             raise Exited(code)
 
@@ -266,28 +267,33 @@ class TestWorker:
         header = (CSV_HEADER + "\n").encode("ascii")
         path = tmp_path / "records.csv"
         path.write_bytes(header)
-        ring, result, inherited = os.pipe(), os.pipe(), os.pipe()
+        ring, result = os.pipe(), os.pipe()
         os.write(ring[1], len(header).to_bytes(8, "little"))  # block 0's offset
         out = os.open(path, os.O_WRONLY)
         try:
             with pytest.raises(Exited) as exited:
-                simulate._work(run, 0, 1, out, ring, result[1], list(inherited))
+                forkjoin._work(lambda rank: simulate._write_blocks(
+                    run, rank, 1, out, ring), 0, result[1])
         finally:
-            os.close(out)
-        assert exited.value.args == (0,)
-        for fd in (*ring, result[1], *inherited):
-            with pytest.raises(OSError):
-                os.fstat(fd)
+            for fd in (out, *ring):
+                os.close(fd)
+        code = exited.value.args[0]
+        if code:  # left to the worker's exit
+            os.close(result[1])
+        with pytest.raises(OSError):
+            os.fstat(result[1])
         with open(result[0], "rb") as fh:
-            return pickle.loads(fh.read()), path.read_bytes()
+            data = fh.read()
+        return code, data and pickle.loads(data), path.read_bytes()
 
     def test_it_writes_its_blocks_and_pipes_back_their_tallies(
             self, tmp_path, monkeypatch, reference_params, reference_detector):
         run = (reference_params, reference_detector, make_channel(),
                3 * simulate._BLOCK_PULSES + 5, 11)
-        outcome, data = self.work(tmp_path, monkeypatch, run)
+        code, outcome, data = self.work(tmp_path, monkeypatch, run)
         batches = []
-        assert outcome == monte_carlo_run(*run, record_sink=batches.append)
+        assert code == 0
+        assert outcome == (None, monte_carlo_run(*run, record_sink=batches.append))
         assert len(batches) == 4
         assert data.decode("ascii") == CSV_HEADER + "\n" + "".join(
             map(format_batch_csv, batches))
@@ -299,9 +305,17 @@ class TestWorker:
 
         monkeypatch.setattr(simulate, "_simulate_chunk", failing_chunk)
         run = (reference_params, reference_detector, make_channel(), 100, 11)
-        outcome, _ = self.work(tmp_path, monkeypatch, run)
-        assert type(outcome) is RuntimeError
-        assert str(outcome) == "sampling failed"
+        code, (error, result), _ = self.work(tmp_path, monkeypatch, run)
+        assert code == 0 and result is None
+        assert type(error) is RuntimeError
+        assert str(error) == "sampling failed"
+
+    def test_an_outcome_that_does_not_pickle_exits_1(
+            self, tmp_path, monkeypatch, reference_params, reference_detector):
+        monkeypatch.setattr(simulate, "_write_blocks", lambda *args: lambda: 0)
+        run = (reference_params, reference_detector, make_channel(), 100, 11)
+        code, outcome, _ = self.work(tmp_path, monkeypatch, run)
+        assert (code, outcome) == (1, b"")
 
 
 @pytest.mark.parametrize("call, message", [
