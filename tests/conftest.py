@@ -19,8 +19,8 @@ REFERENCE_RATE = 1.50e-5
 UNDERFLOW_OBSERVED = dict(q_c=6.784e-321, e_c=0.20216467322520487,
                           q_nc=2.3526e-319, e_nc=0.10002609181006616)
 
-# A split optimize level or simulate run forks while numpy's BLAS threads
-# run, which Python 3.12 and later warn about.
+# A split optimize level, simulate run or ingest forks while numpy's BLAS
+# threads run, which Python 3.12 and later warn about.
 forks = pytest.mark.filterwarnings(
     "ignore:This process .* is multi-threaded:DeprecationWarning")
 
