@@ -382,7 +382,7 @@ def _order_error(record_no: int, previous: int, index: int) -> IngestError:
 
 def _bad_record(data: bytes, record_no: int, previous: int) -> IngestError:
     """The error for the first record of ``data``, a block that the bulk
-    parser rejected, that is outside the record grammar.
+    parse rejected, that is outside the record grammar.
 
     ``record_no`` counts the records before the block, and ``previous`` is
     the index of the last of them, or -1.  The checks are the bulk parser's,
